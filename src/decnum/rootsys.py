@@ -36,10 +36,6 @@ from .intmat import FinAbGroup, Matrix
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
 
-# safety bound for the reflection closure; the largest system in scope
-# (E8) has 240 roots, so anything past this is not a finite type we accept
-_CLOSURE_BOUND = 1000
-
 
 @dataclass(frozen=True)
 class DynkinDiagram:
@@ -186,7 +182,15 @@ def generate_roots(cartan) -> RootSystemData:
     """Close the simple roots under all simple reflections.
 
     Coordinates are with respect to the simple roots, so reflection i
-    sends v to v with v[i] replaced by v[i] - sum_j C[j][i] v[j].
+    sends v to v with v[i] replaced by v[i] - p[i], where
+    p[i] = sum_j v[j] C[j][i] pairs v with the simple coroot i.  Each
+    frontier root carries its nonzero pairings, so a reflection reads
+    p[i] directly, a zero pairing costs nothing, and the child's
+    pairings are the parent's minus p[i] times Cartan row i.  Each root
+    also inherits from its parent the simple root it is conjugate to,
+    and with it its squared length.  A new root thus costs O(n) list
+    work.  The closure raises ValueError once it holds more than
+    max(240, 2 n^2) roots, the most any finite type of rank n has.
 
     >>> rs = generate_roots(cartan_matrix(DynkinDiagram("A", 2)))
     >>> (len(rs.roots), rs.dual_coxeter, rs.highest_root)
@@ -195,45 +199,59 @@ def generate_roots(cartan) -> RootSystemData:
     c = intmat.freeze(cartan)
     _validate_cartan(c)
     n = len(c)
+    # safety bound: no finite root system of rank n has more roots (B_n and
+    # C_n have 2n^2, E8 has 240), so a closure past it is affine or indefinite
+    bound = max(240, 2 * n * n)
+    # nonzero entries of each Cartan row: reflection i changes only these pairings
+    row_support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
 
-    def reflect(v: tuple[int, ...], i: int) -> tuple[int, ...]:
-        w = list(v)
-        w[i] -= sum(c[j][i] * v[j] for j in range(n))
-        return tuple(w)
-
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    seen = set(simple)
-    frontier = list(simple)
+    # origin[v] is the simple root whose reflection orbit v lies in, so
+    # v has its squared length; it doubles as the closure's seen-set
+    origin = {}
+    frontier = []
+    for i in range(n):
+        v = tuple(1 if k == i else 0 for k in range(n))
+        origin[v] = i
+        frontier.append((v, dict(row_support[i])))
     while frontier:
         nxt = []
-        for v in frontier:
-            for i in range(n):
-                w = reflect(v, i)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if len(seen) > _CLOSURE_BOUND:
-            raise ValueError(
-                "reflection closure exceeded safety bound; not a finite type"
-            )
+        for v, pairing in frontier:
+            for i, p in pairing.items():
+                w = list(v)
+                w[i] -= p
+                w = tuple(w)
+                if w in origin:
+                    continue
+                origin[w] = origin[v]
+                if len(origin) > bound:
+                    raise ValueError(
+                        f"reflection closure exceeded the safety bound of {bound} "
+                        f"roots for rank {n}; not a finite type"
+                    )
+                q = dict(pairing)
+                for j, x in row_support[i]:
+                    y = q.get(j, 0) - p * x
+                    if y:
+                        q[j] = y
+                    else:
+                        del q[j]
+                nxt.append((w, q))
         frontier = nxt
 
-    roots = tuple(sorted(seen))
+    roots, origins = zip(*sorted(origin.items()))
     ls = _symmetrizer(c)
-    # (v, v) up to the common factor 1/2: sum_ij v_i v_j C[i][j] L[j]
-    def norm(v):
-        return sum(v[i] * v[j] * c[i][j] * ls[j] for i in range(n) for j in range(n))
+    # (v, v) up to the common factor 1/2 is sum_ij v_i v_j C[i][j] L[j],
+    # which is 2 L[i] on the simple root a_i
+    top = max(ls)
+    lengths = tuple("long" if ls[i] == top else "short" for i in origins)
 
-    norms = [norm(v) for v in roots]
-    top = max(norms)
-    lengths = tuple("long" if nm == top else "short" for nm in norms)
-
-    positive = [v for v in roots if all(x >= 0 for x in v)]
+    positive = [v for v in roots if min(v) >= 0]
     highest = max(positive, key=sum)
-    for v in roots:
-        if any(h < x for h, x in zip(highest, v)):
-            raise AssertionError("highest root fails to dominate")
-    theta_norm = norm(highest)
+    # every negative root lies below 0 <= highest, so checking the
+    # coordinatewise maximum of the positive roots suffices
+    if any(h < x for h, x in zip(highest, map(max, zip(*positive)))):
+        raise AssertionError("highest root fails to dominate")
+    theta_norm = 2 * ls[origin[highest]]
     acc = Fraction(1)
     for i in range(n):
         # norm(a_i) = 2 * ls[i], so the length-square ratio is 2 ls[i] / theta_norm

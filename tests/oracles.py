@@ -4,7 +4,8 @@ Everything here recomputes expectations from first principles, by
 routes deliberately different from the package's own algorithms:
 Fraction-based linear algebra for lattice membership and coset
 enumeration (no Smith reduction), closed-form root system numerology,
-and a submodule-lattice walk for composition factors (no character
+a dense reflection closure for root systems (no carried pairings), and
+a submodule-lattice walk for composition factors (no character
 theory).  Values frozen in the tests were produced by these functions.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 
 # ---------------------------------------------------------------- lattices
@@ -110,6 +112,69 @@ DUAL_COXETER = {
     "F": lambda n: 9,
     "G": lambda n: 4,
 }
+
+
+def reference_root_system(cartan):
+    """Dense reflection closure: (roots, lengths, highest_root, dual_coxeter).
+
+    Each reflection recomputes its coroot pairing in full and each
+    root's squared length comes from the full quadratic form, so the
+    cost is O(n) per reflection and O(n^2) per root.  Roots are sorted,
+    lengths are "long"/"short" as in rootsys.RootSystemData.  Only for
+    finite types with at most 1000 roots.
+    """
+    c = tuple(tuple(row) for row in cartan)
+    n = len(c)
+
+    def reflect(v, i):
+        w = list(v)
+        w[i] -= sum(c[j][i] * v[j] for j in range(n))
+        return tuple(w)
+
+    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    seen = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in range(n):
+                w = reflect(v, i)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if len(seen) > 1000:
+            raise ValueError("reference closure exceeded 1000 roots")
+        frontier = nxt
+
+    roots = tuple(sorted(seen))
+    # symmetrizer L with C[i][j] L[j] == C[j][i] L[i], walked along edges
+    vals = {0: Fraction(1)}
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if j not in vals and c[i][j]:
+                vals[j] = vals[i] * Fraction(c[j][i], c[i][j])
+                queue.append(j)
+    scale = lcm(*(v.denominator for v in vals.values()))
+    ls = [int(vals[j] * scale) for j in range(n)]
+
+    # (v, v) up to the common factor 1/2: sum_ij v_i v_j C[i][j] L[j]
+    def norm(v):
+        return sum(v[i] * v[j] * c[i][j] * ls[j] for i in range(n) for j in range(n))
+
+    norms = [norm(v) for v in roots]
+    top = max(norms)
+    lengths = tuple("long" if nm == top else "short" for nm in norms)
+
+    positive = [v for v in roots if all(x >= 0 for x in v)]
+    highest = max(positive, key=sum)
+    for v in roots:
+        assert all(h >= x for h, x in zip(highest, v)), "highest root fails to dominate"
+    theta_norm = norm(highest)
+    acc = 1 + sum(Fraction(highest[i] * 2 * ls[i], theta_norm) for i in range(n))
+    assert acc.denominator == 1, "dual Coxeter number came out non-integral"
+    return roots, lengths, highest, int(acc)
 
 
 # ------------------------------------------------- modular composition factors

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from decnum.cli import main
+from decnum.cli import MINIMAL_MAX_RANK, main
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +126,24 @@ def test_minimal_json(capsys):
     assert results["dual_fundamental_group"] == "Z/6"
     assert results["open_dim"] == 20
     assert results["decomposition_numbers"] == {"3": 1}
+
+
+def test_minimal_past_the_old_closure_bound(capsys):
+    code, out, err = run_cli(capsys, "minimal", "--type", "A", "--rank", "32")
+    assert code == 0 and err == ""
+    assert out.startswith(
+        "minimal a_32: long subsystem A32, dual fundamental group Z/33, "
+        "open dimension 64\n"
+    )
+    assert "ell=3: 1" in out and "ell=2: 0" in out
+
+
+def test_minimal_rank_ceiling(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["minimal", "--type", "B", "--rank", str(MINIMAL_MAX_RANK + 1)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert f"minimal accepts rank at most {MINIMAL_MAX_RANK}, not {MINIMAL_MAX_RANK + 1}" in err
 
 
 def test_stalks_integral_default(capsys):

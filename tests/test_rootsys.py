@@ -7,6 +7,8 @@ import pytest
 from decnum import intmat
 from decnum.rootsys import (
     ALL_DIAGRAMS_RANK_LE_8,
+    EXCEPTIONAL,
+    SERIES_MIN_RANK,
     DynkinDiagram,
     FoldingDatum,
     cartan_matrix,
@@ -84,13 +86,31 @@ def test_e_series_shape():
     assert c[0][2] == c[2][3] == c[3][4] == c[4][5] == -1
 
 
+# root systems of more than 1000 roots
+LARGE_DIAGRAMS = tuple(
+    DynkinDiagram(name[0], int(name[1:])) for name in ("A32", "A40", "B23", "C29", "D29")
+)
+
+
 def test_root_counts_and_dual_coxeter_closed_forms():
-    for d in ALL_DIAGRAMS_RANK_LE_8:
+    for d in ALL_DIAGRAMS_RANK_LE_8 + LARGE_DIAGRAMS:
         rs = root_system(d)
         assert len(rs.roots) == oracles.ROOT_COUNTS[d.series](d.rank), d
         assert rs.dual_coxeter == oracles.DUAL_COXETER[d.series](d.rank), d
         assert rs.highest_root in rs.roots
         assert rs.lengths[rs.roots.index(rs.highest_root)] == "long"
+
+
+def test_generate_roots_matches_dense_reference_closure():
+    diagrams = [
+        DynkinDiagram(s, n)
+        for s in "ABCD"
+        for n in range(SERIES_MIN_RANK[s], 13)
+    ] + [DynkinDiagram(s, n) for s, n in sorted(EXCEPTIONAL)]
+    for d in diagrams:
+        rs = root_system(d)
+        got = (rs.roots, rs.lengths, rs.highest_root, rs.dual_coxeter)
+        assert got == oracles.reference_root_system(cartan_matrix(d)), d
 
 
 def test_root_negation_symmetry():
@@ -133,9 +153,16 @@ def test_generate_roots_rejects_bad_input():
         generate_roots([[2, -1], [0, 2]])
     with pytest.raises(ValueError, match="not connected"):
         generate_roots([[2, 0], [0, 2]])
-    # affine matrix: reflections never close up
-    with pytest.raises(ValueError, match="safety bound"):
+    # affine (A1~, A11~) and indefinite matrices: reflections never close up
+    with pytest.raises(ValueError, match="safety bound of 240 roots for rank 2"):
         generate_roots([[2, -2], [-2, 2]])
+    with pytest.raises(ValueError, match="safety bound of 240 roots for rank 3"):
+        generate_roots([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
+    with pytest.raises(ValueError, match="safety bound of 288 roots for rank 12"):
+        generate_roots(
+            [[2 if i == j else -1 if abs(i - j) == 1 or {i, j} == {0, 11} else 0
+              for j in range(12)] for i in range(12)]
+        )
 
 
 FUNDAMENTAL = {
