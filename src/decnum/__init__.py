@@ -22,12 +22,8 @@ from .omodule import (
     GradedOModule,
     OModule,
     degree_window,
-    derived_tensor_F,
     poincare_dual,
     reduce_graded,
-    reduce_stalk,
-    tensor_K,
-    truncate,
     truncate_F,
 )
 from .rootsys import (
@@ -72,8 +68,7 @@ __all__ = [
     "FinAbGroup", "LatticeError", "SnfResult", "cokernel", "determinant",
     "induced_endomorphism", "smith_normal_form",
     "DegreeWindowError", "FGraded", "GradedOModule", "OModule",
-    "degree_window", "derived_tensor_F", "poincare_dual", "reduce_graded",
-    "reduce_stalk", "tensor_K", "truncate", "truncate_F",
+    "degree_window", "poincare_dual", "reduce_graded", "truncate_F",
     "DynkinDiagram", "FoldingDatum", "RootSystemData", "cartan_matrix",
     "folding", "fundamental_group", "generate_roots", "long_root_subsystem",
     "root_system", "symmetry_action_on_fundamental_group",

@@ -9,8 +9,8 @@ that parses back to the emitted record byte for byte.
 
 Exit codes: 0 success, 1 computation refusal (a request the stored
 data cannot answer, e.g. a truncation outside a known window), 2 usage
-errors (bad flags, non-prime --ell, inadmissible type/rank, a minimal
-rank above MINIMAL_MAX_RANK).
+errors (bad flags, --ell not a prime below 2**64, inadmissible
+type/rank, a minimal rank above MINIMAL_MAX_RANK).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import sys
 
 from . import tables
+from .intmat import PRIME_BOUND, is_prime
 from .omodule import DegreeWindowError, FGraded, GradedOModule, degree_window
 from .perverse import (
     ConeError,
@@ -54,7 +55,11 @@ def _prime(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 2 or any(value % k == 0 for k in range(2, int(value**0.5) + 1)):
+    if value >= PRIME_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be a prime below 2**64, got a {value.bit_length()}-bit integer"
+        )
+    if not is_prime(value):
         raise argparse.ArgumentTypeError(f"{value} is not prime")
     return value
 

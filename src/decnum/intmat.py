@@ -88,6 +88,54 @@ def is_unimodular(m: Sequence[Sequence[int]]) -> bool:
     return abs(determinant(m)) == 1
 
 
+# Deterministic Miller-Rabin with these bases is exact below 2**64
+# (Sorenson and Webster, Math. Comp. 86 (2017)); larger n are refused
+PRIME_BOUND = 2**64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Primality of an integer below PRIME_BOUND; larger n raise ValueError.
+
+    >>> [n for n in range(-1, 40) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    >>> is_prime(2**61 - 1), is_prime(3215031751)
+    (True, False)
+    """
+    if n <= 7:
+        return n in (2, 3, 5, 7)
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n.bit_length()}-bit input; primality is decided below 2**64")
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(ell) -> None:
+    """Refuse anything but a prime int below PRIME_BOUND with ValueError."""
+    if isinstance(ell, int) and ell >= PRIME_BOUND:
+        raise ValueError(
+            f"ell must be a prime below 2**64, got a {ell.bit_length()}-bit integer"
+        )
+    if not isinstance(ell, int) or not is_prime(ell):
+        raise ValueError(f"ell must be a prime, got {ell!r}")
+
+
 @dataclass(frozen=True)
 class SnfResult:
     """Smith decomposition u * input * v == d.

@@ -19,9 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .intmat import FinAbGroup, Matrix, freeze, identity, multiply
+from .intmat import FinAbGroup, Matrix, check_prime, freeze, identity, multiply
 
-GROUP_GENERATORS = {"trivial": (), "C2": ("s",), "S3": ("s", "t")}
+# The three symmetry groups: kind -> (generators, elements as words in
+# them).  Generators satisfy s^2 = 1, t^3 = 1 and s t s = t^2.
+GROUPS = {
+    "trivial": ((), ("e",)),
+    "C2": (("s",), ("e", "s")),
+    "S3": (("s", "t"), ("e", "t", "tt", "s", "st", "stt")),
+}
+_KIND = {gens: kind for kind, (gens, _) in GROUPS.items()}
 
 CHARACTER_DIMS = {"1": 1, "eps": 1, "psi": 2}
 
@@ -32,14 +39,47 @@ def _mod_entrywise(m: Matrix, mods: tuple[int, ...]) -> Matrix:
     )
 
 
+def _group_kind(action: dict[str, Matrix]) -> str:
+    labels = tuple(sorted(action))
+    if labels not in _KIND:
+        raise ValueError(f"unsupported generator set {labels}")
+    return _KIND[labels]
+
+
+def _check_relations(action: dict[str, Matrix], n: int, reduce) -> None:
+    """The group relations, each product compared after reduce."""
+    if not n:
+        return
+    ident = identity(n)
+    if "s" in action:
+        s = action["s"]
+        if reduce(multiply(s, s)) != ident:
+            raise ValueError("generator s must square to the identity")
+    if "t" in action:
+        t = action["t"]
+        tt = multiply(t, t)
+        if reduce(multiply(tt, t)) != ident:
+            raise ValueError("generator t must cube to the identity")
+        if reduce(multiply(multiply(s, t), s)) != reduce(tt):
+            raise ValueError("generators must satisfy s t s = t^2")
+
+
+class _GroupAction:
+    action: dict[str, Matrix]
+
+    @property
+    def kind(self) -> str:
+        return _group_kind(self.action)
+
+
 @dataclass
-class EquivariantAbGroup:
+class EquivariantAbGroup(_GroupAction):
     """A finite abelian group with a generator-indexed integer action.
 
     group must be pure torsion; each action matrix acts on invariant
     factor coordinates and is stored reduced mod the row's divisor.
-    Generator labels determine the group kind: {} trivial, {s} C2,
-    {s, t} S3, and the defining relations are verified mod the divisors.
+    Generator labels determine the group kind (see GROUPS), and the
+    defining relations are verified mod the divisors.
     """
 
     group: FinAbGroup
@@ -48,9 +88,7 @@ class EquivariantAbGroup:
     def __post_init__(self) -> None:
         if self.group.free_rank:
             raise ValueError("equivariant structure requires a finite group")
-        labels = tuple(sorted(self.action))
-        if labels not in ((), ("s",), ("s", "t")):
-            raise ValueError(f"unsupported generator set {labels}")
+        _group_kind(self.action)
         divs = self.group.divisors
         n = len(divs)
         fixed = {}
@@ -60,33 +98,11 @@ class EquivariantAbGroup:
                 raise ValueError(f"generator {label} must be {n}x{n}")
             fixed[label] = _mod_entrywise(m, divs) if n else m
         self.action = fixed
-        ident = identity(n) if n else tuple()
-
-        def same(a: Matrix, b: Matrix) -> bool:
-            return not n or _mod_entrywise(a, divs) == _mod_entrywise(b, divs)
-
-        if "s" in fixed:
-            s = fixed["s"]
-            if n and not same(multiply(s, s), ident):
-                raise ValueError("generator s must square to the identity")
-        if "t" in fixed:
-            s, t = fixed["s"], fixed["t"]
-            if n:
-                tt = multiply(t, t)
-                if not same(multiply(tt, t), ident):
-                    raise ValueError("generator t must cube to the identity")
-                if not same(multiply(multiply(s, t), s), tt):
-                    raise ValueError("generators must satisfy s t s = t^2")
-
-    @property
-    def kind(self) -> str:
-        return {(): "trivial", ("s",): "C2", ("s", "t"): "S3"}[
-            tuple(sorted(self.action))
-        ]
+        _check_relations(fixed, n, lambda m: _mod_entrywise(m, divs))
 
 
 @dataclass
-class ModularRep:
+class ModularRep(_GroupAction):
     """A finite-dimensional representation over the field with ell elements.
 
     action maps generator labels to dim x dim matrices with entries
@@ -99,17 +115,14 @@ class ModularRep:
     action: dict[str, Matrix] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.ell < 2:
-            raise ValueError("ell must be a prime (at least 2)")
+        check_prime(self.ell)
         if self.dim < 0:
             raise ValueError("negative dimension")
-        labels = tuple(sorted(self.action))
-        if labels not in ((), ("s",), ("s", "t")):
-            raise ValueError(f"unsupported generator set {labels}")
+        _group_kind(self.action)
         fixed = {}
         for label, m in self.action.items():
             if self.dim:
-                m = tuple(tuple(e % self.ell for e in row) for row in freeze(m))
+                m = self._reduce(freeze(m))
                 if len(m) != self.dim or len(m[0]) != self.dim:
                     raise ValueError(f"generator {label} must be {self.dim}x{self.dim}")
                 if modp_rank(m, self.ell) != self.dim:
@@ -118,51 +131,20 @@ class ModularRep:
                 m = tuple()
             fixed[label] = m
         self.action = fixed
-        if self.dim:
-            ident = identity(self.dim)
+        _check_relations(fixed, self.dim, self._reduce)
 
-            def redmul(a, b):
-                return tuple(
-                    tuple(e % self.ell for e in row) for row in multiply(a, b)
-                )
-
-            if "s" in fixed and redmul(fixed["s"], fixed["s"]) != ident:
-                raise ValueError("generator s must square to the identity")
-            if "t" in fixed:
-                tt = redmul(fixed["t"], fixed["t"])
-                if redmul(tt, fixed["t"]) != ident:
-                    raise ValueError("generator t must cube to the identity")
-                if redmul(redmul(fixed["s"], fixed["t"]), fixed["s"]) != tt:
-                    raise ValueError("generators must satisfy s t s = t^2")
-
-    @property
-    def kind(self) -> str:
-        return {(): "trivial", ("s",): "C2", ("s", "t"): "S3"}[
-            tuple(sorted(self.action))
-        ]
+    def _reduce(self, m: Matrix) -> Matrix:
+        return tuple(tuple(e % self.ell for e in row) for row in m)
 
     def elements(self) -> dict[str, Matrix]:
         """All group element matrices, keyed by word in the generators."""
-        ident = identity(self.dim)
-        if self.kind == "trivial":
-            return {"e": ident}
-
-        def redmul(a, b):
-            return tuple(tuple(e % self.ell for e in row) for row in multiply(a, b))
-
-        s = self.action["s"]
-        if self.kind == "C2":
-            return {"e": ident, "s": s}
-        t = self.action["t"]
-        tt = redmul(t, t)
-        return {
-            "e": ident,
-            "t": t,
-            "tt": tt,
-            "s": s,
-            "st": redmul(s, t),
-            "stt": redmul(s, tt),
-        }
+        out = {"e": identity(self.dim)}
+        for word in GROUPS[self.kind][1][1:]:
+            m = self.action[word[0]]
+            for label in word[1:]:
+                m = self._reduce(multiply(m, self.action[label]))
+            out[word] = m
+        return out
 
 
 def modp_rank(m: Matrix, p: int) -> int:
@@ -229,7 +211,7 @@ def irreducible_labels(group: str, ell: int) -> tuple[str, ...]:
     >>> irreducible_labels("C2", 2)
     ('1',)
     """
-    if group not in GROUP_GENERATORS:
+    if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
     if group == "trivial":
         return ("1",)
@@ -294,8 +276,8 @@ def composition_multiplicities(
             raise AssertionError("order-2 action failed to diagonalize mod 3")
     else:
         # semisimple case: ranks of the two central idempotents give the
-        # linear multiplicities, psi soaks up the rest two at a time
-        signs = {"e": 1, "t": 1, "tt": 1, "s": -1, "st": -1, "stt": -1}
+        # linear multiplicities, psi soaks up the rest two at a time; the
+        # sign idempotent negates the words with an s (odd permutations)
         if dim:
             elems = rep.elements()
             sym = tuple(
@@ -304,7 +286,8 @@ def composition_multiplicities(
             )
             alt = tuple(
                 tuple(
-                    sum(signs[w] * m[i][j] for w, m in elems.items()) % ell
+                    sum(-m[i][j] if "s" in w else m[i][j] for w, m in elems.items())
+                    % ell
                     for j in range(dim)
                 )
                 for i in range(dim)

@@ -16,6 +16,7 @@ fail loudly instead of propagating.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -54,8 +55,8 @@ def degree_window() -> tuple[int, int]:
     return lo, hi
 
 
-def _check_degree(deg: int) -> None:
-    lo, hi = degree_window()
+def _check_degree(deg: int, window: tuple[int, int]) -> None:
+    lo, hi = window
     if not lo <= deg <= hi:
         raise DegreeWindowError(
             f"degree {deg} outside support window [{lo}, {hi}]"
@@ -101,28 +102,6 @@ class OModule:
 ZERO = OModule(0, ())
 
 
-def tensor_K(m: OModule) -> int:
-    """K-dimension after inverting pi: torsion dies, rank survives.
-
-    >>> tensor_K(OModule(2, (3, 1)))
-    2
-    """
-    return m.rank
-
-
-def derived_tensor_F(m: OModule) -> tuple[int, int]:
-    """(dim Tor_1(F, m), dim F tensor m) over the residue field.
-
-    Each torsion summand contributes 1 to both; free rank only to the
-    plain tensor.
-
-    >>> derived_tensor_F(OModule(2, (1, 3)))
-    (2, 4)
-    """
-    t = len(m.torsion)
-    return (t, m.rank + t)
-
-
 class GradedOModule:
     """Degree-indexed O-modules with window-checked finite support.
 
@@ -134,6 +113,7 @@ class GradedOModule:
     def __init__(self, modules: Mapping[int, OModule] | Iterable[tuple[int, OModule]]):
         items = modules.items() if isinstance(modules, Mapping) else modules
         store: dict[int, OModule] = {}
+        window = None
         for deg, mod in items:
             if not isinstance(deg, int):
                 raise ValueError(f"non-integer degree {deg!r}")
@@ -143,7 +123,8 @@ class GradedOModule:
                 raise ValueError(f"degree {deg} listed twice")
             if mod.is_zero():
                 continue
-            _check_degree(deg)
+            window = window or degree_window()
+            _check_degree(deg, window)
             store[deg] = mod
         self._by_degree = dict(sorted(store.items()))
 
@@ -172,23 +153,6 @@ class GradedOModule:
         return f"GradedOModule({{{inner}}})"
 
 
-def truncate(g: GradedOModule, n: int, plus: bool = False) -> GradedOModule:
-    """Keep degrees <= n; with plus, also the torsion part of degree n+1.
-
-    >>> g = GradedOModule({0: OModule(1), 2: OModule(0, (1,)), 3: OModule(1)})
-    >>> truncate(g, 1).items()
-    ((0, OModule(rank=1, torsion=())),)
-    >>> truncate(g, 1, plus=True).module_at(2)
-    OModule(rank=0, torsion=(1,))
-    """
-    out = {d: m for d, m in g.items() if d <= n}
-    if plus:
-        edge = g.module_at(n + 1)
-        if edge.torsion:
-            out[n + 1] = OModule(0, edge.torsion)
-    return GradedOModule(out)
-
-
 class FGraded:
     """Graded vector space over a field, recorded as degree -> dimension.
 
@@ -199,13 +163,15 @@ class FGraded:
 
     def __init__(self, dims: Mapping[int, int], coefficients: str = "F"):
         store: dict[int, int] = {}
+        window = None
         for deg, dim in dims.items():
             if not isinstance(deg, int) or not isinstance(dim, int):
                 raise ValueError(f"bad graded dimension entry {deg!r}: {dim!r}")
             if dim < 0:
                 raise ValueError(f"negative dimension at degree {deg}")
             if dim:
-                _check_degree(deg)
+                window = window or degree_window()
+                _check_degree(deg, window)
                 store[deg] = dim
         self._dims = dict(sorted(store.items()))
         self.coefficients = coefficients
@@ -266,13 +232,15 @@ def reduce_graded(g: GradedOModule, coefficients: str = "F") -> FGraded:
     return FGraded(dims, coefficients)
 
 
-# the stalkwise statement is identical, so this is an alias by design
-reduce_stalk = reduce_graded
+def truncate_F(f: FGraded, n: int, floor: float = -math.inf) -> FGraded:
+    """Naive truncation: keep the degrees from floor up to n.
 
-
-def truncate_F(f: FGraded, n: int) -> FGraded:
-    """Naive truncation: drop all degrees above n."""
-    return FGraded({d: v for d, v in f.dims().items() if d <= n}, f.coefficients)
+    >>> truncate_F(FGraded({-3: 1, -2: 1, 0: 2}), -1, floor=-2).dims()
+    {-2: 1}
+    """
+    return FGraded(
+        {d: v for d, v in f.dims().items() if floor <= d <= n}, f.coefficients
+    )
 
 
 def poincare_dual(hc: GradedOModule, real_dim: int) -> GradedOModule:

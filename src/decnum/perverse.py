@@ -28,10 +28,15 @@ unknown data refuse with ConeError rather than guess.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .modrep import EquivariantAbGroup, composition_multiplicities, reduce_mod_l
-from .omodule import FGraded, GradedOModule, OModule, poincare_dual, reduce_graded
+from .modrep import (
+    CHARACTER_DIMS, EquivariantAbGroup, composition_multiplicities, reduce_mod_l,
+)
+from .omodule import (
+    FGraded, GradedOModule, OModule, poincare_dual, reduce_graded, truncate_F,
+)
 from .rootsys import (
     DynkinDiagram,
     FoldingDatum,
@@ -278,6 +283,59 @@ def link_cohomology_minimal(gamma: DynkinDiagram) -> ConeData:
     )
 
 
+def _band(c: ConeData, cap: float = math.inf, ell: int | None = None,
+          skip_unknown: bool = False) -> dict[int, OModule]:
+    """The known link degrees up to raw degree cap, shifted by -d.
+
+    Zero entries are left out.  An entry of unknown rank refuses, or
+    with skip_unknown is passed over (it is torsion-free, so its only
+    trace after reduction mod pi would be its unknown rank).  With ell
+    the integral torsion is localized at ell.
+    """
+    d = c.open_dim
+    out = {}
+    for deg in c.known_degrees():
+        if deg > cap:
+            break
+        entry = c.link_cohomology.get(deg, ZERO_ENTRY)
+        if entry.rank is None:
+            if skip_unknown:
+                continue
+            raise ConeError(f"insufficient link data: rank unknown at degree {deg}")
+        torsion = entry.torsion if ell is None else _localize(entry.torsion, ell)
+        if entry.rank or torsion:
+            out[deg - d] = OModule(entry.rank, torsion)
+    return out
+
+
+def _check_covered(c: ConeData, f: ExtensionFlavor) -> None:
+    """Refuse unless the known band reaches one degree past f's threshold."""
+    top = c.open_dim + f.shifted_threshold
+    if c.completeness != "full" and top + 1 > c.completeness[1]:
+        raise ConeError(
+            "insufficient link data: window does not cover the "
+            f"truncation threshold for {f.label()}"
+        )
+
+
+def _floor(c: ConeData) -> float:
+    """Lowest shifted degree the link data speaks for (-inf when full)."""
+    return -math.inf if c.completeness == "full" else c.completeness[0] - c.open_dim
+
+
+def _localize(torsion: tuple[int, ...], ell: int) -> tuple[int, ...]:
+    """ell-adic valuations of the invariant factors divisible by ell."""
+    exps = []
+    for t in torsion:
+        e = 0
+        while t % ell == 0:
+            t //= ell
+            e += 1
+        if e:
+            exps.append(e)
+    return tuple(exps)
+
+
 def extension_stalk(c: ConeData, f: ExtensionFlavor) -> GradedOModule:
     """Cone-point stalk of the f-extension, in shifted degrees.
 
@@ -293,41 +351,16 @@ def extension_stalk(c: ConeData, f: ExtensionFlavor) -> GradedOModule:
     >>> extension_stalk(c, ExtensionFlavor("p+", "!*")).items()
     ((-2, OModule(rank=1, torsion=())), (0, OModule(rank=0, torsion=(2,))))
     """
-    d = c.open_dim
-    threshold = d + f.shifted_threshold
-    if c.completeness != "full":
-        _, hi = c.completeness
-        if threshold + 1 > hi:
-            raise ConeError(
-                "insufficient link data: window does not cover the "
-                f"truncation threshold for {f.label()}"
-            )
-    out: dict[int, OModule] = {}
-    for deg in c.known_degrees():
-        if deg > threshold:
-            continue
-        entry = c.link_cohomology.get(deg, ZERO_ENTRY)
-        if entry.rank is None:
-            raise ConeError(
-                f"insufficient link data: rank unknown at degree {deg}"
-            )
-        if not entry.is_zero():
-            out[deg - d] = OModule(entry.rank, entry.torsion)
+    _check_covered(c, f)
+    threshold = c.open_dim + f.shifted_threshold
+    stalk = _band(c, cap=threshold)
     if f.plus:
         edge = _require(
             c.entry_or_none(threshold + 1), "no entry above the threshold"
         )
         if edge.torsion:
-            out[threshold + 1 - d] = OModule(0, edge.torsion)
-    return GradedOModule(out)
-
-
-def _ell_exponent(n: int, ell: int) -> int:
-    e = 0
-    while n % ell == 0:
-        n //= ell
-        e += 1
-    return e
+            stalk[f.shifted_threshold + 1] = OModule(0, edge.torsion)
+    return GradedOModule(stalk)
 
 
 def localize_stalk(g: GradedOModule, ell: int) -> GradedOModule:
@@ -339,40 +372,17 @@ def localize_stalk(g: GradedOModule, ell: int) -> GradedOModule:
     >>> localize_stalk(GradedOModule({0: OModule(1, (12, 2))}), 2).module_at(0)
     OModule(rank=1, torsion=(2, 1))
     """
-    _check_prime(ell)
-    out = {}
-    for deg, m in g.items():
-        exps = tuple(_ell_exponent(t, ell) for t in m.torsion if t % ell == 0)
-        out[deg] = OModule(m.rank, exps)
-    return GradedOModule(out)
-
-
-def _check_prime(ell: int) -> None:
-    if not isinstance(ell, int) or ell < 2 or any(
-        ell % k == 0 for k in range(2, int(ell**0.5) + 1)
-    ):
-        raise ValueError(f"ell must be a prime, got {ell!r}")
-
-
-def _localized_link(c: ConeData, ell: int) -> GradedOModule:
-    # shifted-degree graded module of the known, rank-known band
-    out = {}
-    for deg in c.known_degrees():
-        entry = c.link_cohomology.get(deg, ZERO_ENTRY)
-        if entry.rank is None:
-            continue  # torsion-free: contributes nothing below, cut above
-        exps = tuple(
-            _ell_exponent(t, ell) for t in entry.torsion if t % ell == 0
-        )
-        if entry.rank or exps:
-            out[deg - c.open_dim] = OModule(entry.rank, exps)
-    return GradedOModule(out)
+    intmat.check_prime(ell)
+    return GradedOModule(
+        {deg: OModule(m.rank, _localize(m.torsion, ell)) for deg, m in g.items()}
+    )
 
 
 def f_extension_stalk(c: ConeData, f: ExtensionFlavor, ell: int) -> FGraded:
     """Cone-point stalk of the f-extension with coefficients in F_ell.
 
-    Only defined for perversity "p": reduction mod pi followed by naive
+    Only defined for perversity "p": reduction mod pi of the localized
+    link band (entries of unknown rank skipped) followed by naive
     truncation at the same threshold.  For windowed cones, dimensions
     are reported for the known band only.
 
@@ -382,26 +392,15 @@ def f_extension_stalk(c: ConeData, f: ExtensionFlavor, ell: int) -> FGraded:
     """
     if f.perversity != "p":
         raise ConeError("field-coefficient stalks are defined for perversity p only")
-    _check_prime(ell)
-    d = c.open_dim
-    if c.completeness != "full":
-        _, hi = c.completeness
-        if d + f.shifted_threshold + 1 > hi:
-            raise ConeError(
-                "insufficient link data: window does not cover the "
-                f"truncation threshold for {f.label()}"
-            )
-    reduced = reduce_graded(_localized_link(c, ell), coefficients=f"F_{ell}")
-    dims = reduced.dims()
-    if c.completeness != "full":
-        lo, _ = c.completeness
-        dims = {deg: v for deg, v in dims.items() if deg >= lo - d}
-    dims = {deg: v for deg, v in dims.items() if deg <= f.shifted_threshold}
-    return FGraded(dims, coefficients=f"F_{ell}")
+    intmat.check_prime(ell)
+    _check_covered(c, f)
+    band = GradedOModule(_band(c, ell=ell, skip_unknown=True))
+    reduced = reduce_graded(band, coefficients=f"F_{ell}")
+    return truncate_F(reduced, f.shifted_threshold, _floor(c))
 
 
 def _check_euler_hypotheses(c: ConeData, ell: int) -> LinkEntry:
-    _check_prime(ell)
+    intmat.check_prime(ell)
     d = c.open_dim
     below = _require(c.entry_or_none(d - 1), f"degree {d - 1} outside window")
     middle = _require(c.entry_or_none(d), f"degree {d} outside window")
@@ -440,14 +439,12 @@ def decomposition_number(c: ConeData, ell: int) -> int:
         localize_stalk(extension_stalk(c, flavor), ell), coefficients=f"F_{ell}"
     )
     f_side = f_extension_stalk(c, flavor, ell)
-    degrees = set(o_side.degrees()) | set(f_side.degrees())
-    if c.completeness != "full":
-        lo, _ = c.completeness
-        degrees = {deg for deg in degrees if deg >= lo - c.open_dim}
+    floor = _floor(c)  # compare only degrees the known window speaks for
     diff = sum(
-        (1 if deg % 2 == 0 else -1) * (o_side.dim_at(deg) - f_side.dim_at(deg))
-        for deg in degrees
-    )
+        dim if deg % 2 == 0 else -dim
+        for deg, dim in o_side.dims().items()
+        if deg >= floor
+    ) - f_side.euler_characteristic()
     expected = sum(1 for t in middle.torsion if t % ell == 0)
     if diff != expected:
         raise AssertionError(
@@ -485,8 +482,6 @@ def equivariant_decomposition(c: ConeData, group: str, ell: int) -> Decompositio
         raise ConeError(f"cone carries a {eq.kind} action, not {group}")
     plain = decomposition_number(c, ell)
     per = composition_multiplicities(reduce_mod_l(eq, ell), group)
-    from .modrep import CHARACTER_DIMS
-
     if sum(CHARACTER_DIMS[lb] * v for lb, v in per.items()) != plain:
         raise AssertionError("character multiplicities do not add up")
     return DecompositionReport(

@@ -10,6 +10,7 @@ computed cells against the instantiated rule.
 
 from __future__ import annotations
 
+from .intmat import is_prime
 from .perverse import (
     decomposition_number,
     equivariant_decomposition,
@@ -60,7 +61,7 @@ def unicode_group(g) -> str:
 def _divisibility_rule(count: int, modulus: int) -> str:
     if modulus == 1:
         return "0"
-    if all(modulus % k for k in range(2, modulus)):
+    if is_prime(modulus):
         return f"{count} if ℓ={modulus}"
     return f"{count} if ℓ divides {modulus}"
 

@@ -299,3 +299,123 @@ def brute_composition_factors(action: dict, dim: int, p: int) -> Counter:
     result = Counter([label])
     result.update(brute_composition_factors(quotient, dim - k, p))
     return result
+
+
+# ------------------------------------------------------------ stalk calculus
+#
+# A band is (open_dim d, raw degree -> (rank or None, invariant factors),
+# known window (lo, hi) or None for a full table).  Answers are plain
+# dicts keyed by shifted degree (raw - d); a request the band cannot
+# answer is STALK_REFUSED, and one whose graded objects would have a
+# nonzero degree outside the support window is OUT_OF_WINDOW.
+
+STALK_OFFSETS = {"!": -2, "!*": -1, "*": 0}
+STALK_REFUSED = "refused"
+OUT_OF_WINDOW = "out of window"
+
+
+def _band_entry(entries, window, deg):
+    if window is None:
+        return entries.get(deg, (0, ()))
+    return entries[deg] if window[0] <= deg <= window[1] else None
+
+
+def _band_degrees(entries, window):
+    return sorted(entries) if window is None else range(window[0], window[1] + 1)
+
+
+def _valuations(torsion, ell):
+    exps = []
+    for t in torsion:
+        e = 0
+        while t % ell == 0:
+            t, e = t // ell, e + 1
+        if e:
+            exps.append(e)
+    return tuple(sorted(exps, reverse=True))
+
+
+def _fits(degrees, support):
+    return all(support[0] <= deg <= support[1] for deg in degrees)
+
+
+def _mod_pi_dims(graded):
+    """F-dimensions of a complex with cohomology graded: each torsion
+    summand counts in its own degree and once more one degree down."""
+    dims = Counter()
+    for deg, (rank, exps) in graded.items():
+        dims[deg] += rank + len(exps)
+        dims[deg - 1] += len(exps)
+    return {deg: v for deg, v in sorted(dims.items()) if v}
+
+
+def reference_stalk(band, perversity, kind, support):
+    """Integral flavor stalk: the link truncated at d + offset, plus for
+    p+ the torsion one degree higher."""
+    d, entries, window = band
+    top = d + STALK_OFFSETS[kind]
+    if window is not None and top + 1 > window[1]:
+        return STALK_REFUSED
+    out = {}
+    for deg in _band_degrees(entries, window):
+        if deg <= top:
+            rank, torsion = entries.get(deg, (0, ()))
+            if rank is None:
+                return STALK_REFUSED
+            if rank or torsion:
+                out[deg - d] = (rank, tuple(sorted(torsion, reverse=True)))
+    if perversity == "p+":
+        edge = _band_entry(entries, window, top + 1)
+        if edge is None:
+            return STALK_REFUSED
+        if edge[1]:
+            out[top + 1 - d] = (0, tuple(sorted(edge[1], reverse=True)))
+    return out if _fits(out, support) else OUT_OF_WINDOW
+
+
+def reference_localize(stalk, ell):
+    out = {}
+    for deg, (rank, torsion) in stalk.items():
+        exps = _valuations(torsion, ell)
+        if rank or exps:
+            out[deg] = (rank, exps)
+    return out
+
+
+def reference_f_stalk(band, kind, ell, support):
+    """F_ell stalk for perversity p: the whole localized band (entries of
+    unknown rank left out) reduced mod pi, then cut to the known degrees
+    at or below the offset."""
+    d, entries, window = band
+    top = STALK_OFFSETS[kind]
+    if window is not None and d + top + 1 > window[1]:
+        return STALK_REFUSED
+    localized = {}
+    for deg in _band_degrees(entries, window):
+        rank, torsion = entries.get(deg, (0, ()))
+        if rank is not None:
+            localized[deg - d] = (rank, _valuations(torsion, ell))
+    dims = _mod_pi_dims(localized)
+    if not _fits(dims, support):
+        return OUT_OF_WINDOW
+    floor = float("-inf") if window is None else window[0] - d
+    return {deg: v for deg, v in dims.items() if floor <= deg <= top}
+
+
+def reference_decomposition(band, ell, support):
+    """Count of middle invariant factors divisible by ell, once the
+    Euler hypotheses hold and both p,!* stalks can be formed."""
+    d, entries, window = band
+    below, middle, above = (_band_entry(entries, window, d + k) for k in (-1, 0, 1))
+    if None in (below, middle, above):
+        return STALK_REFUSED
+    if below != (0, ()) or above[1] or middle[0] is None:
+        return STALK_REFUSED
+    stalk = reference_stalk(band, "p", "!*", support)
+    if stalk in (STALK_REFUSED, OUT_OF_WINDOW):
+        return stalk
+    if not _fits(_mod_pi_dims(reference_localize(stalk, ell)), support):
+        return OUT_OF_WINDOW
+    if reference_f_stalk(band, "!*", ell, support) == OUT_OF_WINDOW:
+        return OUT_OF_WINDOW
+    return sum(1 for t in middle[1] if t % ell == 0)

@@ -65,6 +65,22 @@ def test_usage_errors_exit_2(capsys):
         main(["nonsense"])
 
 
+def test_ell_past_the_primality_bound_is_usage_error(capsys):
+    for ell in ("1" + "0" * 309, str(2**64)):
+        with pytest.raises(SystemExit) as e:
+            main(["simple", "--type", "A", "--rank", "2", "--ell", ell])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be a prime below 2**64" in err and "Traceback" not in err
+
+
+def test_large_prime_ell_is_answered(capsys):
+    code, out, _ = run_cli(capsys, "simple", "--type", "A", "--rank", "3",
+                           "--ell", "1000000000000000003")
+    assert code == 0
+    assert "ell=1000000000000000003: 0" in out
+
+
 def test_simple_rejects_folded_types(capsys):
     with pytest.raises(SystemExit) as e:
         main(["simple", "--type", "B", "--rank", "3"])

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from decnum.intmat import (
+    PRIME_BOUND,
     FinAbGroup,
     LatticeError,
+    check_prime,
     cokernel,
     determinant,
     freeze,
     identity,
     induced_endomorphism,
+    is_prime,
     is_unimodular,
     multiply,
     smith_normal_form,
@@ -317,3 +321,39 @@ def test_induced_composition():
         ]
         assert [list(r) for r in lhs] == prod
         done += 1
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [
+        n for n in range(-3, 20000) if trial(n)
+    ]
+    rng = random.Random(1313)
+    for _ in range(300):
+        n = rng.randrange(10**6, 10**9)
+        assert is_prime(n) == trial(n), n
+
+
+def test_is_prime_near_the_bound():
+    # strong pseudoprimes to the smallest bases, a Mersenne prime, and
+    # the largest prime below 2**64
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1)
+    assert is_prime(10**18 + 3)
+    assert is_prime(PRIME_BOUND - 59)
+    assert not is_prime(PRIME_BOUND - 1)
+    with pytest.raises(ValueError, match=r"below 2\*\*64"):
+        is_prime(PRIME_BOUND)
+
+
+def test_check_prime():
+    check_prime(2)
+    check_prime(10**18 + 3)
+    for bad in (1, 0, -7, 9, 2.0, "3", True):
+        with pytest.raises(ValueError, match="ell must be a prime, got"):
+            check_prime(bad)
+    with pytest.raises(ValueError, match=r"ell must be a prime below 2\*\*64"):
+        check_prime(10**400)

@@ -148,6 +148,8 @@ def test_modular_rep_validation():
         ModularRep(5, 2, {"s": PSI_S, "t": ((1, 0), (0, 4))})
     with pytest.raises(ValueError, match="ell must be a prime"):
         ModularRep(1, 1, {})
+    with pytest.raises(ValueError, match="ell must be a prime, got 4"):
+        ModularRep(4, 1, {"s": ((3,),)})
     with pytest.raises(ValueError, match="negative dimension"):
         ModularRep(2, -1, {})
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from decnum import omodule
 from decnum.omodule import (
     DEFAULT_WINDOW,
     ZERO,
@@ -14,12 +15,8 @@ from decnum.omodule import (
     GradedOModule,
     OModule,
     degree_window,
-    derived_tensor_F,
     poincare_dual,
     reduce_graded,
-    reduce_stalk,
-    tensor_K,
-    truncate,
     truncate_F,
 )
 
@@ -43,14 +40,6 @@ def test_omodule_validation():
         OModule(0, (2, -1))
     with pytest.raises(ValueError):
         OModule("1")
-
-
-def test_tensor_functors():
-    assert tensor_K(OModule(2, (3, 1))) == 2
-    assert tensor_K(ZERO) == 0
-    assert derived_tensor_F(OModule(2, (1, 3))) == (2, 4)
-    assert derived_tensor_F(ZERO) == (0, 0)
-    assert derived_tensor_F(OModule(0, (5,))) == (1, 1)
 
 
 def test_graded_drops_zero_and_sorts():
@@ -110,19 +99,6 @@ def test_degree_window_env_malformed(monkeypatch):
         degree_window()
 
 
-def test_truncate():
-    g = GradedOModule({0: OModule(1), 2: OModule(0, (1,)), 3: OModule(1)})
-    assert truncate(g, 1).items() == ((0, OModule(1)),)
-    assert truncate(g, 1, plus=True).items() == (
-        (0, OModule(1)),
-        (2, OModule(0, (1,))),
-    )
-    # plus keeps only the torsion of the edge degree
-    h = GradedOModule({0: OModule(1), 1: OModule(2, (5,))})
-    assert truncate(h, 0, plus=True).module_at(1) == OModule(0, (5,))
-    assert truncate(h, 5) == h
-
-
 def test_fgraded_basics():
     f = FGraded({2: 1, 0: 3, 5: 0}, "F_2")
     assert f.dims() == {0: 3, 2: 1}
@@ -149,8 +125,16 @@ def test_reduce_graded_frozen():
     }
 
 
-def test_reduce_stalk_is_the_same_operation():
-    assert reduce_stalk is reduce_graded
+def test_degree_window_read_once_per_object(monkeypatch):
+    calls = []
+    real = omodule.degree_window
+    monkeypatch.setattr(omodule, "degree_window", lambda: calls.append(1) or real())
+    GradedOModule({d: OModule(1) for d in range(-3, 4)})
+    FGraded({d: 2 for d in range(5)})
+    assert len(calls) == 2
+    GradedOModule({0: ZERO})
+    FGraded({0: 0})
+    assert len(calls) == 2
 
 
 def test_truncate_F():
@@ -158,6 +142,8 @@ def test_truncate_F():
     assert truncate_F(f, -1).dims() == {-2: 1, -1: 1}
     assert truncate_F(f, -3).dims() == {}
     assert truncate_F(f, 0) == f
+    assert truncate_F(f, 0, floor=-1).dims() == {-1: 1, 0: 2}
+    assert truncate_F(f, -1, floor=-1) == FGraded({-1: 1}, "F_5")
 
 
 def test_poincare_dual_frozen():

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
+import oracles
 from decnum.intmat import FinAbGroup
 from decnum.modrep import EquivariantAbGroup
-from decnum.omodule import GradedOModule, OModule, tensor_K
+from decnum.omodule import DegreeWindowError, GradedOModule, OModule, degree_window
 from decnum.perverse import (
     FLAVOR_CHAIN,
     ZERO_ENTRY,
@@ -213,6 +214,16 @@ def test_extension_stalk_refusals():
     assert stalk_dict(unknown, ExtensionFlavor("p", "!")) == {}
 
 
+def test_plus_edge_of_rank_only_is_not_window_checked(monkeypatch):
+    """p+ adds only the torsion of the edge degree, so a rank-only edge
+    outside a narrow support window leaves the stalk answerable."""
+    c = ConeData(
+        "x", 3, {2: ZERO_ENTRY, 3: LinkEntry(1), 4: LinkEntry(0)}, completeness=(2, 4)
+    )
+    monkeypatch.setenv("DECNUM_DEGREE_WINDOW", "1:5")
+    assert extension_stalk(c, ExtensionFlavor("p+", "!*")) == GradedOModule({})
+
+
 def test_localize_stalk():
     g = GradedOModule({0: OModule(1, (12, 2))})
     assert localize_stalk(g, 2).module_at(0) == OModule(1, (2, 1))
@@ -221,9 +232,11 @@ def test_localize_stalk():
     assert localize_stalk(GradedOModule({1: OModule(0, (6, 30))}), 5).items() == (
         (1, OModule(0, (1,))),
     )
-    for bad in (4, 1, 0, 9, -3):
+    for bad in (4, 1, 0, 9, -3, 3215031751):
         with pytest.raises(ValueError, match=f"ell must be a prime, got {bad}"):
             localize_stalk(g, bad)
+    with pytest.raises(ValueError, match=r"ell must be a prime below 2\*\*64"):
+        localize_stalk(g, 10**400)
 
 
 def test_f_extension_stalk_simple():
@@ -406,7 +419,7 @@ def test_stalks_agree_over_K_random():
         profiles = []
         for flavor in FLAVOR_CHAIN:
             g = extension_stalk(c, flavor)
-            profiles.append({deg: tensor_K(m) for deg, m in g.items() if m.rank})
+            profiles.append({deg: m.rank for deg, m in g.items() if m.rank})
         assert all(p == profiles[0] for p in profiles[1:])
 
 
@@ -455,3 +468,82 @@ def test_equivariant_decomposition_errors():
         equivariant_decomposition(link_cohomology_simple(D("A2")), "trivial", 2)
     with pytest.raises(ConeError, match="carries a C2 action, not S3"):
         equivariant_decomposition(subregular_cone(D("B3")), "S3", 2)
+
+
+def random_reference_band(rng):
+    """(open_dim, raw degree -> (rank or None, factors), window or None)."""
+
+    def entry():
+        if rng.random() < 0.1:
+            return (None, ())
+        return (rng.choice((0, 0, 1, 2)), random_chain(rng))
+
+    d = rng.randint(2, 8)
+    if rng.random() < 0.4:
+        lo = d - rng.randint(0, 3)
+        hi = max(lo, d + rng.randint(-1, 2))
+        window = (lo, hi)
+        entries = {deg: entry() for deg in range(lo, hi + 1)}
+    else:
+        window = None
+        entries = {deg: entry() for deg in range(1, 2 * d + 2) if rng.random() < 0.6}
+        entries[0] = (1, ())
+    if rng.random() < 0.6:  # aim at the Euler hypotheses
+        if window is None or d - 1 in entries:
+            entries[d - 1] = (0, ())
+        if d + 1 in entries and entries[d + 1][0] is not None:
+            entries[d + 1] = (entries[d + 1][0], ())
+    return d, entries, window
+
+
+def outcome(call, canon):
+    try:
+        return canon(call())
+    except ConeError:
+        return oracles.STALK_REFUSED
+    except DegreeWindowError:
+        return oracles.OUT_OF_WINDOW
+
+
+def graded_dict(g):
+    return {deg: (m.rank, m.torsion) for deg, m in g.items()}
+
+
+@pytest.mark.parametrize("support", [None, "-3:0"])
+def test_stalk_calculus_matches_reference(monkeypatch, support):
+    """Every stalk read agrees with the dict-based reference calculus."""
+    rng = random.Random(1212)
+    if support is not None:
+        monkeypatch.setenv("DECNUM_DEGREE_WINDOW", support)
+    window = degree_window()
+    for _ in range(200):
+        band = random_reference_band(rng)
+        d, entries, known = band
+        c = ConeData(
+            "reference", d,
+            {deg: LinkEntry(rank, torsion) for deg, (rank, torsion) in entries.items()},
+            completeness="full" if known is None else known,
+        )
+        for flavor in FLAVOR_CHAIN:
+            p, kind = flavor.perversity, flavor.kind
+            want = oracles.reference_stalk(band, p, kind, window)
+            got = outcome(lambda: extension_stalk(c, flavor), graded_dict)
+            assert got == want, (band, flavor.label())
+            for ell in (2, 3):
+                want_local = (
+                    want if want in (oracles.STALK_REFUSED, oracles.OUT_OF_WINDOW)
+                    else oracles.reference_localize(want, ell)
+                )
+                got = outcome(
+                    lambda: localize_stalk(extension_stalk(c, flavor), ell), graded_dict
+                )
+                assert got == want_local, (band, flavor.label(), ell)
+                if p == "p":
+                    want_f = oracles.reference_f_stalk(band, kind, ell, window)
+                    got = outcome(lambda: f_extension_stalk(c, flavor, ell),
+                                  lambda g: g.dims())
+                    assert got == want_f, (band, flavor.label(), ell)
+        for ell in (2, 3, 5, 7):
+            want = oracles.reference_decomposition(band, ell, window)
+            got = outcome(lambda: decomposition_number(c, ell), lambda n: n)
+            assert got == want, (band, ell)
