@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from .intmat import FinAbGroup, Matrix, check_prime, freeze, identity, multiply
 
 # The three symmetry groups: kind -> (generators, elements as words in
-# them).  Generators satisfy s^2 = 1, t^3 = 1 and s t s = t^2.
+# them, "e" the identity first).  Generators satisfy s^2 = 1, t^3 = 1
+# and s t s = t^2.
 GROUPS = {
     "trivial": ((), ("e",)),
     "C2": (("s",), ("e", "s")),
