@@ -10,7 +10,7 @@ that parses back to the emitted record byte for byte.
 Exit codes: 0 success, 1 computation refusal (a request the stored
 data cannot answer, e.g. a truncation outside a known window), 2 usage
 errors (bad flags, --ell not a prime below 2**64, inadmissible
-type/rank, a minimal rank above MINIMAL_MAX_RANK).
+type/rank, a rank above the command's ceiling in RANK_CEILINGS).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import tables
 from .intmat import PRIME_BOUND, is_prime
@@ -41,20 +42,49 @@ from .rootsys import (
     long_root_subsystem,
 )
 
-# largest rank `minimal` accepts: the root closure behind h^vee holds up to
-# 2n^2 roots of n coordinates; B100 takes about 1 s and 36 MB peak RSS
-# (Python 3.11, one Xeon vCPU)
+# largest rank each typed command accepts, checked before any matrix is
+# built.  Cold times at the ceiling, worst series, Python 3.11 on one Xeon
+# vCPU: lattice D1000 --dual 1.0-1.2 s (64 MB peak RSS), simple D800
+# 1.2 s, subregular B300 (unfolds to A599) 1.3 s, stalks B300 1.0 s,
+# minimal B100 0.4 s (its root closure holds 2n^2 roots of n coordinates)
 MINIMAL_MAX_RANK = 100
+RANK_CEILINGS = {
+    "lattice": 1000,
+    "simple": 800,
+    "subregular": 300,
+    "minimal": MINIMAL_MAX_RANK,
+    "stalks": 300,
+}
+
+# a usage error names a longer argument by its length instead of quoting it
+_QUOTE_MAX = 20
 
 _KINDS = {"shriek": "!", "ic": "!*", "star": "*"}
 _PERVERSITIES = {"p": "p", "pplus": "p+"}
 
 
-def _prime(text: str) -> int:
+def _integer(text: str, invalid: str, too_long: str) -> int:
+    """int(text), or ArgumentTypeError with a message of bounded length.
+
+    An integer of more than _QUOTE_MAX digits (Python parses at most
+    4300) is refused as `too_long`, naming its digit count; any other
+    non-integer is refused as `invalid`, formatted with the quoted text
+    or, when that is long, its length.
+    """
+    body = text.strip()
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    if len(body) > _QUOTE_MAX and body.isdigit():
+        raise argparse.ArgumentTypeError(f"{too_long}, got a {len(body)}-digit integer")
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        shown = repr(text) if len(text) <= _QUOTE_MAX else f"a {len(text)}-character argument"
+        raise argparse.ArgumentTypeError(invalid.format(shown)) from None
+
+
+def _prime(text: str) -> int:
+    value = _integer(text, "{} is not an integer", "must be a prime below 2**64")
     if value >= PRIME_BOUND:
         raise argparse.ArgumentTypeError(
             f"must be a prime below 2**64, got a {value.bit_length()}-bit integer"
@@ -64,10 +94,14 @@ def _prime(text: str) -> int:
     return value
 
 
-def _add_type_rank(sub: argparse.ArgumentParser) -> None:
+def _add_type_rank(sub: argparse.ArgumentParser, command: str) -> None:
     sub.add_argument("--type", required=True, choices=list("ABCDEFG"),
                      help="Dynkin series letter")
-    sub.add_argument("--rank", required=True, type=int, help="number of nodes")
+    sub.add_argument(
+        "--rank", required=True, help="number of nodes",
+        type=partial(_integer, invalid="invalid int value: {}",
+                     too_long=f"rank out of range (at most {RANK_CEILINGS[command]})"),
+    )
 
 
 def _add_format(sub: argparse.ArgumentParser) -> None:
@@ -83,30 +117,30 @@ def _parse_args(argv):
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("lattice", help="fundamental group of a root lattice")
-    _add_type_rank(p)
+    _add_type_rank(p, "lattice")
     p.add_argument("--dual", action="store_true",
                    help="coweights mod coroots instead of weights mod roots")
     _add_format(p)
 
     p = commands.add_parser("simple", help="decomposition numbers, simple singularity")
-    _add_type_rank(p)
+    _add_type_rank(p, "simple")
     p.add_argument("--ell", type=_prime, help="residue characteristic")
     _add_format(p)
 
     p = commands.add_parser("subregular",
                             help="equivariant decomposition numbers, folded surface cone")
-    _add_type_rank(p)
+    _add_type_rank(p, "subregular")
     p.add_argument("--ell", type=_prime)
     _add_format(p)
 
     p = commands.add_parser("minimal",
                             help="decomposition numbers, minimal nilpotent cone")
-    _add_type_rank(p)
+    _add_type_rank(p, "minimal")
     p.add_argument("--ell", type=_prime)
     _add_format(p)
 
     p = commands.add_parser("stalks", help="extension stalk tables at the cone point")
-    _add_type_rank(p)
+    _add_type_rank(p, "stalks")
     p.add_argument("--flavor", default="p", choices=sorted(_PERVERSITIES))
     p.add_argument("--kind", default="ic", choices=sorted(_KINDS))
     p.add_argument("--coeff", default="O", choices=["K", "O", "F"])
@@ -123,9 +157,13 @@ def _parse_args(argv):
 
 def _diagram(parser, args) -> DynkinDiagram:
     try:
-        return DynkinDiagram(args.type, args.rank)
+        d = DynkinDiagram(args.type, args.rank)
     except ValueError as e:
         parser.error(str(e))
+    ceiling = RANK_CEILINGS[args.command]
+    if d.rank > ceiling:
+        parser.error(f"{args.command} accepts rank at most {ceiling}, not {d.rank}")
+    return d
 
 
 def _module_cells(m) -> dict:
@@ -228,10 +266,6 @@ def _run_subregular(parser, args) -> tuple[dict, list[str]]:
 
 def _run_minimal(parser, args) -> tuple[dict, list[str]]:
     d = _diagram(parser, args)
-    if d.rank > MINIMAL_MAX_RANK:
-        parser.error(
-            f"minimal accepts rank at most {MINIMAL_MAX_RANK}, not {d.rank}"
-        )
     cone = link_cohomology_minimal(d)
     sub = long_root_subsystem(d)
     group = fundamental_group(sub, dual=True)[0]

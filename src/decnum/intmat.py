@@ -25,21 +25,30 @@ def freeze(m: Sequence[Sequence[int]]) -> Matrix:
     >>> freeze([[1, 2], [3, 4]])
     ((1, 2), (3, 4))
     """
-    rows = tuple(tuple(e for e in row) for row in m)
+    rows = tuple(map(tuple, m))
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(rows[0])
     for row in rows:
         if len(row) != width:
             raise ValueError("ragged matrix")
-        for e in row:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValueError(f"non-integer entry {e!r}")
+        if set(map(type, row)) != {int}:
+            # name the first entry that is not an int (bool is refused)
+            for e in row:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise ValueError(f"non-integer entry {e!r}")
     return rows
 
 
 def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple(map(tuple, _identity_rows(n)))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
 
 
 def transpose(m: Sequence[Sequence[int]]) -> Matrix:
@@ -202,16 +211,18 @@ class _Reduction:
     """Mutable state for Smith reduction with transform tracking.
 
     Maintains u * original * v == a and uinv == u^-1 throughout, using
-    only elementary (determinant +-1) operations.
+    only elementary (determinant +-1) operations.  u is always tracked;
+    uinv and v only when asked for.  An untracked transform is an empty
+    list, so the loops that update it run over nothing.
     """
 
-    def __init__(self, m: Matrix):
+    def __init__(self, m: Matrix, uinv: bool = False, v: bool = False):
         self.a = [list(row) for row in m]
         self.rows = len(m)
         self.cols = len(m[0])
-        self.u = [list(row) for row in identity(self.rows)]
-        self.uinv = [list(row) for row in identity(self.rows)]
-        self.v = [list(row) for row in identity(self.cols)]
+        self.u = _identity_rows(self.rows)
+        self.uinv = _identity_rows(self.rows) if uinv else []
+        self.v = _identity_rows(self.cols) if v else []
 
     # row ops act on a and u on the left; uinv picks up the inverse op
     # on the right (as column operations) so uinv stays the exact inverse.
@@ -267,21 +278,25 @@ def _smallest_entry(a: list[list[int]], s: int, rows: int, cols: int):
     """Position of the nonzero entry of least magnitude in the block [s:, s:].
 
     Scan order is row-major and only a strictly smaller magnitude displaces
-    the current choice, so the result is deterministic.
+    the current choice, so the result is deterministic.  Nothing displaces
+    a unit, so the scan stops at the first one.
     """
     best = None
     best_abs = 0
     for i in range(s, rows):
+        row = a[i]
         for j in range(s, cols):
-            e = a[i][j]
+            e = row[j]
             if e != 0 and (best is None or abs(e) < best_abs):
                 best = (i, j)
                 best_abs = abs(e)
+                if best_abs == 1:
+                    return best
     return best
 
 
-def _snf_state(m: Matrix) -> _Reduction:
-    st = _Reduction(m)
+def _snf_state(m: Matrix, uinv: bool = False, v: bool = False) -> _Reduction:
+    st = _Reduction(m, uinv, v)
     a, rows, cols = st.a, st.rows, st.cols
     for s in range(min(rows, cols)):
         pos = _smallest_entry(a, s, rows, cols)
@@ -310,7 +325,9 @@ def _snf_state(m: Matrix) -> _Reduction:
                 st.row_swap(s, pos[0])
                 st.col_swap(s, pos[1])
                 continue
-            # cross is clear; enforce pivot | rest of block
+            # cross is clear; enforce pivot | rest of block (a unit divides all)
+            if a[s][s] == 1:
+                break
             witness = None
             for i in range(s + 1, rows):
                 for j in range(s + 1, cols):
@@ -332,7 +349,7 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfResult:
     >>> r.diagonal()
     (1, 3)
     """
-    st = _snf_state(freeze(m))
+    st = _snf_state(freeze(m), v=True)
     return SnfResult(
         u=tuple(tuple(r) for r in st.u),
         d=tuple(tuple(r) for r in st.a),
@@ -386,17 +403,19 @@ def induced_endomorphism(
     rows = len(m)
     if len(g) != rows or len(g[0]) != rows:
         raise ValueError(f"endomorphism must be {rows}x{rows}")
-    st = _snf_state(m)
+    st = _snf_state(m, uinv=True)
     eff = _effective_diagonal(st)
-    h = multiply(multiply(tuple(tuple(r) for r in st.u), g),
-                 tuple(tuple(r) for r in st.uinv))
     # in u-coordinates the image lattice is the span of eff[j] * e_j over
-    # eff[j] > 0; g preserves it iff eff[i] | eff[j] * h[i][j] throughout
+    # eff[j] > 0; g preserves it iff eff[i] | eff[j] * h[i][j] throughout,
+    # for h = u g u^-1.  Rows with eff[i] == 1 pass trivially, so only the
+    # rows with eff[i] != 1 of h are formed, each as (u[i] g) u^-1.
+    h = {i: _row_times(_row_times(st.u[i], g), st.uinv)
+         for i, d in enumerate(eff) if d != 1}
     for j in range(rows):
         if eff[j] == 0:
             continue
-        for i in range(rows):
-            val = eff[j] * h[i][j]
+        for i, row in h.items():
+            val = eff[j] * row[j]
             ok = (val == 0) if eff[i] == 0 else (val % eff[i] == 0)
             if not ok:
                 raise LatticeError(
@@ -407,3 +426,12 @@ def induced_endomorphism(
     return tuple(
         tuple(h[i][j] % eff[i] for j in torsion_idx) for i in torsion_idx
     )
+
+
+def _row_times(row: Sequence[int], m: Sequence[Sequence[int]]) -> list[int]:
+    # the row vector row * m, summing only the rows of m that row weights
+    out = [0] * len(m[0])
+    for x, mrow in zip(row, m):
+        if x:
+            out = [o + x * y for o, y in zip(out, mrow)]
+    return out

@@ -203,7 +203,13 @@ def _echelon_insert(basis, v, p):
     return True
 
 
-def _closure(gens, mats, p):
+def _closure(gens, mats, p, stop=None):
+    """Echelon basis of the submodule the gens generate.
+
+    With stop, the walk gives up once the basis has stop vectors, and
+    returns that partial basis: the caller only asks whether the
+    submodule is smaller than that.
+    """
     basis: list[list[int]] = []
     for g in gens:
         _echelon_insert(basis, g, p)
@@ -213,6 +219,8 @@ def _closure(gens, mats, p):
         for row in list(basis):
             for m in mats:
                 if _echelon_insert(basis, _matvec(m, row, p), p):
+                    if stop is not None and len(basis) >= stop:
+                        return basis
                     changed = True
     return basis
 
@@ -233,6 +241,19 @@ def _inverse_mod(m, p):
     return [row[n:] for row in a]
 
 
+def _projective_points(dim: int, p: int):
+    """One vector per line of F_p^dim: the one whose first nonzero entry is 1.
+
+    A vector and its nonzero multiples generate the same submodule.  The
+    points come in lexicographic order, which is the order in which a walk
+    over all of product(range(p), repeat=dim) first meets each line.
+    """
+    for lead in reversed(range(dim)):
+        head = (0,) * lead + (1,)
+        for tail in product(range(p), repeat=dim - 1 - lead):
+            yield head + tail
+
+
 def brute_composition_factors(action: dict, dim: int, p: int) -> Counter:
     """Composition factor labels by walking minimal submodules.
 
@@ -246,10 +267,8 @@ def brute_composition_factors(action: dict, dim: int, p: int) -> Counter:
         return Counter()
 
     best = None
-    for v in product(range(p), repeat=dim):
-        if not any(v):
-            continue
-        basis = _closure([v], mats, p)
+    for v in _projective_points(dim, p):
+        basis = _closure([v], mats, p, best and len(best))
         if best is None or len(basis) < len(best):
             best = basis
         if len(best) == 1:

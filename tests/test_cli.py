@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from decnum.cli import MINIMAL_MAX_RANK, main
+from decnum.cli import MINIMAL_MAX_RANK, RANK_CEILINGS, main
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +160,42 @@ def test_minimal_rank_ceiling(capsys):
     assert e.value.code == 2
     err = capsys.readouterr().err
     assert f"minimal accepts rank at most {MINIMAL_MAX_RANK}, not {MINIMAL_MAX_RANK + 1}" in err
+
+
+@pytest.mark.parametrize("command", sorted(RANK_CEILINGS))
+def test_rank_ceilings(capsys, command):
+    ceiling = RANK_CEILINGS[command]
+    for rank in (ceiling + 1, 10**15):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--type", "D", "--rank", str(rank)])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"{command} accepts rank at most {ceiling}, not {rank}\n")
+
+
+def test_over_long_integer_arguments_are_named_by_length(capsys):
+    huge = "1" + "0" * 5000
+    cases = [
+        (["--rank", "2", "--ell", huge],
+         "argument --ell: must be a prime below 2**64, got a 5001-digit integer"),
+        (["--rank", "2", "--ell", "x" * 5000],
+         "argument --ell: a 5000-character argument is not an integer"),
+        (["--rank", huge],
+         "argument --rank: rank out of range (at most 800), got a 5001-digit integer"),
+        (["--rank", "-" + huge],
+         "argument --rank: rank out of range (at most 800), got a 5001-digit integer"),
+        (["--rank", "9" * 21],
+         "argument --rank: rank out of range (at most 800), got a 21-digit integer"),
+        (["--rank", "y" * 21], "argument --rank: invalid int value: a 21-character argument"),
+        (["--rank", "y"], "argument --rank: invalid int value: 'y'"),
+    ]
+    for flags, message in cases:
+        with pytest.raises(SystemExit) as e:
+            main(["simple", "--type", "A", *flags])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"decnum simple: error: {message}\n"), err[-300:]
+        assert len(err) < 400
 
 
 def test_stalks_integral_default(capsys):

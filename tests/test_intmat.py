@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 
@@ -88,14 +89,99 @@ def test_snf_divisors_match_sympy():
 
 
 def test_freeze_rejects_garbage():
-    with pytest.raises(ValueError):
+    empty = "matrix must have at least one row and one column"
+    for m in ([], [[]], ()):
+        with pytest.raises(ValueError, match=f"^{empty}$"):
+            freeze(m)
+    with pytest.raises(ValueError, match="^ragged matrix$"):
         freeze([[1, 2], [3]])
-    with pytest.raises(ValueError):
-        freeze([])
-    with pytest.raises(ValueError):
-        freeze([[1.5]])
-    with pytest.raises(ValueError):
-        freeze([[True]])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        freeze([[1, 2], [3, 4.5, 6]])
+    # the first entry that is not an int is named; bool is not an int here
+    for m, shown in (
+        ([[1.5]], "1.5"),
+        ([[True]], "True"),
+        ([[1, True]], "True"),
+        ([[1, 2], [False, 1.5]], "False"),
+        ([[1.0, 2]], "1.0"),
+        ([[1, 2], [3, "x"]], "'x'"),
+        ([[1, None]], "None"),
+    ):
+        with pytest.raises(ValueError, match=f"^non-integer entry {shown}$"):
+            freeze(m)
+
+    class Count(int):
+        pass
+
+    assert freeze([[Count(3), 2**100], (-1, 0)]) == ((3, 2**100), (-1, 0))
+
+
+def _eff_from_smith(r, rows, cols):
+    return [r.d[i][i] if i < min(rows, cols) else 0 for i in range(rows)]
+
+
+def test_cokernel_projection_matches_smith_transform():
+    """cokernel reads its projection off the same u as smith_normal_form."""
+    rng = random.Random(4404)
+    for k in range(600):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = random_matrix(rng, rows, cols, rng.choice((1, 3, 12)))
+        if k % 4 == 0 and rows > 1:
+            m[-1] = [3 * x for x in m[0]]  # singular
+        r = smith_normal_form(m)
+        eff = _eff_from_smith(r, rows, cols)
+        tor = [i for i, d in enumerate(eff) if d >= 2]
+        free = [i for i, d in enumerate(eff) if d == 0]
+        want = tuple(
+            tuple(r.u[i][c] % eff[i] for i in tor) + tuple(r.u[i][c] for i in free)
+            for c in range(rows)
+        )
+        group, proj = cokernel(m)
+        assert (group.divisors, group.free_rank) == (tuple(eff[i] for i in tor), len(free))
+        assert proj == want, m
+
+
+def _dense_induced(m, g):
+    """u g u^-1 in full from smith_normal_form, checked on every row."""
+    rows = len(m)
+    r = smith_normal_form(m)
+    cols_of_inverse = [oracles.solve_exact(r.u, [int(i == j) for i in range(rows)])
+                       for j in range(rows)]
+    uinv = [[int(cols_of_inverse[j][i]) for j in range(rows)] for i in range(rows)]
+    h = multiply(multiply(r.u, g), uinv)
+    eff = _eff_from_smith(r, rows, len(m[0]))
+    for j in range(rows):
+        for i in range(rows):
+            val = eff[j] * h[i][j]
+            if eff[j] and ((val != 0) if eff[i] == 0 else (val % eff[i] != 0)):
+                return f"coordinate ({i}, {j})"
+    tor = [i for i, d in enumerate(eff) if d >= 2]
+    return tuple(tuple(h[i][j] % eff[i] for j in tor) for i in tor)
+
+
+def test_induced_matches_dense_conjugate():
+    """Forming only the rows of u g u^-1 with eff != 1 changes nothing."""
+    rng = random.Random(4405)
+    for k in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = random_matrix(rng, rows, cols, rng.choice((2, 6)))
+        if k % 2:
+            for row in m:
+                row[0] *= 3  # more torsion in the cokernel
+        if k % 3 == 0:
+            # identity plus a lattice-valued rank-one term preserves the lattice
+            coeffs = [rng.randint(-2, 2) for _ in range(cols)]
+            lat = [sum(x * c for x, c in zip(row, coeffs)) for row in m]
+            g = [[int(i == j) + lat[i] * rng.randint(-2, 2) for j in range(rows)]
+                 for i in range(rows)]
+        else:
+            g = random_matrix(rng, rows, rows, 3)
+        want = _dense_induced(m, g)
+        if isinstance(want, str):
+            with pytest.raises(LatticeError, match=re.escape(want)):
+                induced_endomorphism(m, g)
+        else:
+            assert induced_endomorphism(m, g) == want, (m, g)
 
 
 def test_determinant_bareiss():

@@ -107,10 +107,28 @@ def test_generate_roots_matches_dense_reference_closure():
         for s in "ABCD"
         for n in range(SERIES_MIN_RANK[s], 13)
     ] + [DynkinDiagram(s, n) for s, n in sorted(EXCEPTIONAL)]
+    # B20 and C20 have 800 roots, near the dense closure's limit of 1000
+    diagrams += [DynkinDiagram(s, 20) for s in "ABCD"]
     for d in diagrams:
         rs = root_system(d)
         got = (rs.roots, rs.lengths, rs.highest_root, rs.dual_coxeter)
         assert got == oracles.reference_root_system(cartan_matrix(d)), d
+
+
+def test_roots_are_sorted_negated_positives():
+    diagrams = [DynkinDiagram(s, n) for s, n in sorted(EXCEPTIONAL)] + [
+        DynkinDiagram("A", 40), DynkinDiagram("B", 29), DynkinDiagram("C", 29),
+        DynkinDiagram("D", 29),
+    ]
+    for d in diagrams:
+        for c in (cartan_matrix(d), intmat.transpose(cartan_matrix(d))):
+            rs = generate_roots(c)
+            assert list(rs.roots) == sorted(set(rs.roots)), d
+            positive = {v for v in rs.roots if min(v) >= 0}
+            negative = {tuple(-x for x in v) for v in positive}
+            assert set(rs.roots) == positive | negative and len(rs.roots) == 2 * len(positive)
+            # a root and its negative have the same length
+            assert rs.lengths == rs.lengths[::-1], d
 
 
 def test_root_negation_symmetry():
