@@ -26,26 +26,17 @@ from .omodule import DegreeWindowError, FGraded, GradedOModule, degree_window
 from .perverse import (
     ConeError,
     ExtensionFlavor,
-    decomposition_number,
-    equivariant_decomposition,
     extension_stalk,
     f_extension_stalk,
-    link_cohomology_minimal,
     link_cohomology_simple,
-    localize_stalk,
     subregular_cone,
 )
-from .rootsys import (
-    DynkinDiagram,
-    folding,
-    fundamental_group,
-    long_root_subsystem,
-)
+from .rootsys import DynkinDiagram, fundamental_group
 
 # largest rank each typed command accepts, checked before any matrix is
 # built.  Cold times at the ceiling, worst series, Python 3.11 on one Xeon
-# vCPU: lattice D1000 --dual 1.0-1.2 s (64 MB peak RSS), simple D800
-# 1.2 s, subregular B300 (unfolds to A599) 1.3 s, stalks B300 1.0 s,
+# vCPU: lattice D1000 --dual 1.0-1.2 s (64 MB peak RSS), simple A800
+# 0.7 s, subregular B300 (unfolds to A599) 1.3 s, stalks B300 1.0 s,
 # minimal B100 0.4 s (its root closure holds 2n^2 roots of n coordinates)
 MINIMAL_MAX_RANK = 100
 RANK_CEILINGS = {
@@ -219,9 +210,8 @@ def _run_simple(parser, args) -> tuple[dict, list[str]]:
             f"simple requires a simply-laced type, not {d}; "
             "use 'decnum subregular' for folded types"
         )
-    cone = link_cohomology_simple(d)
-    group = fundamental_group(d)[0]
-    numbers = {str(ell): decomposition_number(cone, ell) for ell in _ells(args)}
+    cone, numbers = tables.simple_answer(d, _ells(args))
+    group = tables.middle_group(cone)
     results = {
         "singularity": cone.label,
         "fundamental_group": str(group),
@@ -238,38 +228,32 @@ def _run_simple(parser, args) -> tuple[dict, list[str]]:
 
 def _run_subregular(parser, args) -> tuple[dict, list[str]]:
     d = _diagram(parser, args)
-    f = folding(d)
-    cone = subregular_cone(d)
-    reports = []
-    for ell in _ells(args):
-        rep = equivariant_decomposition(cone, f.symmetry, ell)
-        reports.append(
-            {"ell": ell, "plain": rep.plain, "characters": dict(rep.per_character)}
-        )
+    cone, f, reports = tables.subregular_answer(d, _ells(args))
     results = {
         "singularity": cone.label,
         "unfolding": str(f.gamma_hat),
         "symmetry": f.symmetry,
-        "fundamental_group": str(cone.equivariant_degrees[2].group),
+        "fundamental_group": str(tables.middle_group(cone)),
         "quotient_groups": list(f.quotient_groups),
-        "reports": reports,
+        "reports": [
+            {"ell": r.ell, "plain": r.plain, "characters": dict(r.per_character)}
+            for r in reports
+        ],
     }
     text = [
         f"{cone.label}: unfolds to {f.gamma_hat} with symmetry {f.symmetry}",
         f"fundamental group {results['fundamental_group']}",
     ]
-    for rep in reports:
-        chars = ", ".join(f"{k} -> {v}" for k, v in sorted(rep["characters"].items()))
-        text.append(f"  ell={rep['ell']}: total {rep['plain']}  ({chars})")
+    for r in reports:
+        chars = ", ".join(f"{k} -> {v}" for k, v in sorted(r.per_character.items()))
+        text.append(f"  ell={r.ell}: total {r.plain}  ({chars})")
     return results, text
 
 
 def _run_minimal(parser, args) -> tuple[dict, list[str]]:
     d = _diagram(parser, args)
-    cone = link_cohomology_minimal(d)
-    sub = long_root_subsystem(d)
-    group = fundamental_group(sub, dual=True)[0]
-    numbers = {str(ell): decomposition_number(cone, ell) for ell in _ells(args)}
+    cone, sub, numbers = tables.minimal_answer(d, _ells(args))
+    group = tables.middle_group(cone)
     results = {
         "singularity": cone.label,
         "long_subsystem": str(sub),

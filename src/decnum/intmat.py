@@ -258,12 +258,6 @@ class _Reduction:
         for r in self.v:
             r[i], r[j] = r[j], r[i]
 
-    def col_negate(self, j: int) -> None:
-        for r in self.a:
-            r[j] = -r[j]
-        for r in self.v:
-            r[j] = -r[j]
-
     def col_addmul(self, j: int, k: int, q: int) -> None:
         """col j += q * col k (j != k)."""
         if q == 0:

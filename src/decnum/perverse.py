@@ -462,8 +462,6 @@ class DecompositionReport:
     group: str
     plain: int
     per_character: dict[str, int]
-    stalks_integral: dict[str, GradedOModule]
-    stalks_field: dict[str, FGraded]
 
 
 def equivariant_decomposition(c: ConeData, group: str, ell: int) -> DecompositionReport:
@@ -490,10 +488,4 @@ def equivariant_decomposition(c: ConeData, group: str, ell: int) -> Decompositio
         group=group,
         plain=plain,
         per_character=per,
-        stalks_integral={f.label(): extension_stalk(c, f) for f in FLAVOR_CHAIN},
-        stalks_field={
-            f.label(): f_extension_stalk(c, f, ell)
-            for f in FLAVOR_CHAIN
-            if f.perversity == "p"
-        },
     )

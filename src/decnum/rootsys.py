@@ -339,9 +339,6 @@ def long_root_subsystem(d: DynkinDiagram) -> DynkinDiagram:
     return DynkinDiagram("A", len(nodes))
 
 
-_S3_WORDS = ("e", "s", "t", "tt", "st", "stt")
-
-
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # (p then q) as functions: composite[i] = q[p[i]]
     return tuple(q[p[i]] for i in range(len(p)))

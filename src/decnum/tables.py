@@ -1,24 +1,28 @@
-"""The three standard decomposition tables over the documented grid.
+"""The three standard decomposition tables, and one builder per cone family.
 
 Grid: types A1-A10, B2-B8, C2-C8, D4-D10, E6-E8, F4, G2 where the
 respective table applies, primes ell in {2, 3, 5, 7}.  Every numeric
-cell is computed (never hardcoded) by the perverse module; the "rule"
-column carries the closed-form condition each family satisfies, with
-the rank-dependent part instantiated, and generation asserts the
-computed cells against the instantiated rule.
+cell is computed (never hardcoded) by the perverse module.  The
+builders simple_answer, subregular_answer and minimal_answer return a
+cone with its numbers and assert each number against the family's
+closed-form rule; the table loops and the CLI's simple, subregular and
+minimal subcommands share them, so an answer off the grid gets the same
+check as a table cell.  The "rule" column carries that condition with
+the rank-dependent part instantiated.
 """
 
 from __future__ import annotations
 
-from .intmat import is_prime
+from .intmat import FinAbGroup, is_prime
 from .perverse import (
+    ConeData,
     decomposition_number,
     equivariant_decomposition,
     link_cohomology_minimal,
     link_cohomology_simple,
     subregular_cone,
 )
-from .rootsys import DynkinDiagram, folding, fundamental_group, long_root_subsystem
+from .rootsys import DynkinDiagram, FoldingDatum, folding, long_root_subsystem
 
 GRID_PRIMES = (2, 3, 5, 7)
 
@@ -66,10 +70,6 @@ def _divisibility_rule(count: int, modulus: int) -> str:
     return f"{count} if ℓ divides {modulus}"
 
 
-def _rule_value(rule_count: int, rule_modulus: int, ell: int) -> int:
-    return rule_count if rule_modulus % ell == 0 else 0
-
-
 def _simple_rule(d: DynkinDiagram) -> tuple[int, int]:
     """(count, modulus): the cell is count when ell divides modulus, else 0."""
     if d.series == "A":
@@ -92,23 +92,62 @@ def _minimal_rule(d: DynkinDiagram) -> tuple[int, int]:
             ("F", 4): (1, 3), ("G", 2): (1, 2)}[(d.series, d.rank)]
 
 
+def _check(cone: ConeData, rule: tuple[int, int], ell: int, got: int) -> int:
+    count, modulus = rule
+    if got != (count if modulus % ell == 0 else 0):
+        raise AssertionError(
+            f"{cone.label}: rule [{_divisibility_rule(*rule)}] broken at ell={ell}"
+        )
+    return got
+
+
+def middle_group(cone: ConeData) -> FinAbGroup:
+    """The middle link torsion, whose ell-divisible invariant factors the
+    decomposition number counts: P/Q of a simple or subregular cone, the
+    dual P/Q of the long-root subsystem of a minimal one."""
+    return FinAbGroup(cone.entry_or_none(cone.open_dim).torsion)
+
+
+def simple_answer(d: DynkinDiagram, ells) -> tuple[ConeData, dict[str, int]]:
+    """The simple cone of d and its decomposition number at each ell,
+    each checked against the closed-form rule."""
+    cone = link_cohomology_simple(d)
+    rule = _simple_rule(d)
+    return cone, {str(ell): _check(cone, rule, ell, decomposition_number(cone, ell))
+                  for ell in ells}
+
+
+def subregular_answer(d: DynkinDiagram, ells) -> tuple[ConeData, FoldingDatum, list]:
+    """The folded cone of d, its folding and one equivariant report per
+    ell, each plain number checked against the rule of the unfolding."""
+    f = folding(d)
+    cone = subregular_cone(d)
+    rule = _simple_rule(f.gamma_hat)
+    reports = [equivariant_decomposition(cone, f.symmetry, ell) for ell in ells]
+    for report in reports:
+        _check(cone, rule, report.ell, report.plain)
+    return cone, f, reports
+
+
+def minimal_answer(d: DynkinDiagram, ells) -> tuple[ConeData, DynkinDiagram, dict]:
+    """The minimal cone of d, its long-root subsystem and its
+    decomposition number at each ell, each checked against the rule."""
+    cone = link_cohomology_minimal(d)
+    rule = _minimal_rule(d)
+    numbers = {str(ell): _check(cone, rule, ell, decomposition_number(cone, ell))
+               for ell in ells}
+    return cone, long_root_subsystem(d), numbers
+
+
 def simple_table() -> list[dict]:
     rows = []
     for d in simple_grid():
-        cone = link_cohomology_simple(d)
-        group = fundamental_group(d)[0]
-        count, modulus = _simple_rule(d)
-        values = {}
-        for ell in GRID_PRIMES:
-            got = decomposition_number(cone, ell)
-            if got != _rule_value(count, modulus, ell):
-                raise AssertionError(f"simple table rule broken at {d}, ell={ell}")
-            values[str(ell)] = got
+        cone, values = simple_answer(d, GRID_PRIMES)
         rows.append(
             {
                 "singularity": _sub(d),
-                "fundamental_group": str(group),
-                "rule": _divisibility_rule(count, modulus),
+                "fundamental_group": str(middle_group(cone)),
+                "rule": _divisibility_rule(*_simple_rule(d)),
                 "values": values,
             }
         )
@@ -118,18 +157,15 @@ def simple_table() -> list[dict]:
 def subregular_table() -> list[dict]:
     rows = []
     for d in subregular_grid():
-        f = folding(d)
-        cone = subregular_cone(d)
-        eq = cone.equivariant_degrees[2]
-        for ell in GRID_PRIMES:
-            report = equivariant_decomposition(cone, eq.kind, ell)
+        cone, f, reports = subregular_answer(d, GRID_PRIMES)
+        for report in reports:
             rows.append(
                 {
                     "singularity": _sub(d),
                     "unfolding": _sub(f.gamma_hat),
                     "symmetry": f.symmetry,
-                    "fundamental_group": str(eq.group),
-                    "ell": ell,
+                    "fundamental_group": str(middle_group(cone)),
+                    "ell": report.ell,
                     "plain": report.plain,
                     "characters": dict(report.per_character),
                 }
@@ -140,23 +176,14 @@ def subregular_table() -> list[dict]:
 def minimal_table() -> list[dict]:
     rows = []
     for d in minimal_grid():
-        cone = link_cohomology_minimal(d)
-        sub = long_root_subsystem(d)
-        group = fundamental_group(sub, dual=True)[0]
-        count, modulus = _minimal_rule(d)
-        values = {}
-        for ell in GRID_PRIMES:
-            got = decomposition_number(cone, ell)
-            if got != _rule_value(count, modulus, ell):
-                raise AssertionError(f"minimal table rule broken at {d}, ell={ell}")
-            values[str(ell)] = got
+        cone, sub, values = minimal_answer(d, GRID_PRIMES)
         rows.append(
             {
                 "singularity": _sub(d).lower(),
                 "long_subsystem": _sub(sub),
-                "dual_fundamental_group": str(group),
+                "dual_fundamental_group": str(middle_group(cone)),
                 "open_dim": cone.open_dim,
-                "rule": _divisibility_rule(count, modulus),
+                "rule": _divisibility_rule(*_minimal_rule(d)),
                 "values": values,
             }
         )

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from decnum import intmat, tables
 from decnum.cli import MINIMAL_MAX_RANK, RANK_CEILINGS, main
 
 
@@ -152,6 +153,54 @@ def test_minimal_past_the_old_closure_bound(capsys):
         "open dimension 64\n"
     )
     assert "ell=3: 1" in out and "ell=2: 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("simple", "--type", "D", "--rank", "6"),
+    ("simple", "--type", "E", "--rank", "7", "--format", "json"),
+    ("minimal", "--type", "B", "--rank", "5"),
+    ("minimal", "--type", "G", "--rank", "2", "--format", "json"),
+])
+def test_one_smith_form_per_request(capsys, monkeypatch, argv):
+    # the printed group is the cone's middle link torsion, not a second
+    # reduction of the same Cartan matrix
+    calls = []
+    reduce = intmat.cokernel
+
+    def counted(m):
+        calls.append(len(m))
+        return reduce(m)
+
+    monkeypatch.setattr(intmat, "cokernel", counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("simple", "--type", "A", "--rank", "100", "--ell", "101"), "ell=101: 1"),
+    (("simple", "--type", "D", "--rank", "12", "--ell", "3"), "ell=3: 0"),
+    (("minimal", "--type", "B", "--rank", "30", "--ell", "5"), "ell=5: 1"),
+    (("minimal", "--type", "B", "--rank", "30", "--ell", "7"), "ell=7: 0"),
+    (("subregular", "--type", "B", "--rank", "30", "--ell", "5"), "ell=5: total 1"),
+    (("subregular", "--type", "C", "--rank", "12", "--ell", "3"), "ell=3: total 0"),
+])
+def test_off_grid_answers_follow_the_rule(capsys, argv, line):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert line in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("rule, argv", [
+    ("_simple_rule", ("simple", "--type", "A", "--rank", "100", "--ell", "101")),
+    ("_minimal_rule", ("minimal", "--type", "B", "--rank", "30", "--ell", "5")),
+    ("_simple_rule", ("subregular", "--type", "B", "--rank", "30", "--ell", "5")),
+])
+def test_cli_answers_are_checked_against_the_rule(monkeypatch, rule, argv):
+    # a rule that says 0 everywhere must make the computed 1 fail loudly
+    monkeypatch.setattr(tables, rule, lambda d: (1, 1))
+    with pytest.raises(AssertionError, match=r"rule \[0\] broken at ell="):
+        main(list(argv))
 
 
 def test_minimal_rank_ceiling(capsys):

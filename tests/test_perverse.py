@@ -455,12 +455,15 @@ def test_equivariant_decomposition_report_shape():
     report = equivariant_decomposition(subregular_cone(D("G2")), "S3", 2)
     assert isinstance(report, DecompositionReport)
     assert report.plain == 2
-    assert sorted(report.stalks_integral) == sorted(
-        f.label() for f in FLAVOR_CHAIN
-    )
-    assert sorted(report.stalks_field) == ["p,!", "p,!*", "p,*"]
-    assert report.stalks_integral["p+,!*"].module_at(0) == OModule(0, (2, 2))
-    assert report.stalks_field["p,!*"].dims() == {-2: 1, -1: 2}
+    assert report.per_character == {"1": 0, "psi": 1}
+
+
+def test_g2_stalks_at_the_cone_point():
+    cone = subregular_cone(D("G2"))
+    stalk = extension_stalk(cone, ExtensionFlavor("p+", "!*"))
+    assert stalk.module_at(0) == OModule(0, (2, 2))
+    f_stalk = f_extension_stalk(cone, ExtensionFlavor("p", "!*"), 2)
+    assert f_stalk.dims() == {-2: 1, -1: 2}
 
 
 def test_equivariant_decomposition_errors():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from decnum import intmat
 from decnum.tables import (
     GRID_PRIMES,
     minimal_grid,
@@ -123,3 +124,18 @@ def test_tables_are_deterministic():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     assert render_markdown(first) == render_markdown(second)
     assert render_text(first) == render_text(second)
+
+
+def test_paper_tables_reduce_each_cone_once(monkeypatch):
+    # one Smith form per simple or minimal cone; a subregular cone reduces
+    # the unfolding's Cartan matrix for its link and again for the action
+    calls = []
+    reduce = intmat.cokernel
+
+    def counted(m):
+        calls.append(len(m))
+        return reduce(m)
+
+    monkeypatch.setattr(intmat, "cokernel", counted)
+    paper_tables()
+    assert len(calls) == len(simple_grid()) + 2 * len(subregular_grid()) + len(minimal_grid())
