@@ -16,7 +16,6 @@ type/rank, a rank above the command's ceiling in RANK_CEILINGS).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import partial
 
@@ -36,7 +35,7 @@ from .rootsys import DynkinDiagram, fundamental_group
 # largest rank each typed command accepts, checked before any matrix is
 # built.  Cold times at the ceiling, worst series, Python 3.11 on one Xeon
 # vCPU: lattice D1000 --dual 1.0-1.2 s (64 MB peak RSS), simple A800
-# 0.7 s, subregular B300 (unfolds to A599) 1.3 s, stalks B300 1.0 s,
+# 0.7 s, subregular B300 (unfolds to A599) 0.9 s, stalks B300 0.8 s,
 # minimal B100 0.4 s (its root closure holds 2n^2 roots of n coordinates)
 MINIMAL_MAX_RANK = 100
 RANK_CEILINGS = {
@@ -345,6 +344,8 @@ def main(argv=None) -> int:
         print(f"decnum: error: {e}", file=sys.stderr)
         return 2
     if args.format == "json":
+        import json  # only here: a text or markdown request never loads it
+
         record = {
             "schema": 1,
             "command": args.command,

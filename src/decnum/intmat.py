@@ -8,9 +8,9 @@ of ints and frozen on entry; no function mutates its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import prod
-from typing import Sequence
+from operator import attrgetter
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -145,24 +145,72 @@ def check_prime(ell) -> None:
         raise ValueError(f"ell must be a prime, got {ell!r}")
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class Record:
+    """Base of the package's value classes.
+
+    A subclass names its fields in __slots__, in constructor order, and
+    defines __init__.  Records compare field by field with records of
+    the same class only, repr as ClassName(field=value, ...), and pickle
+    and copy by calling the constructor again on their field values.  A
+    Record is mutable and unhashable; a FrozenRecord is neither.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            # every field in one call: a tuple, or a lone field's value
+            cls._key = staticmethod(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once, by object.__setattr__ in __init__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SnfResult(FrozenRecord):
     """Smith decomposition u * input * v == d.
 
     u and v are unimodular; d is diagonal with nonnegative entries and
     each diagonal entry divides the next.
     """
 
-    u: Matrix
-    d: Matrix
-    v: Matrix
+    __slots__ = ("u", "d", "v")
+
+    def __init__(self, u: Matrix, d: Matrix, v: Matrix) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "v", v)
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d[i][i] for i in range(min(len(self.d), len(self.d[0]))))
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(FrozenRecord):
     """Finitely generated abelian group in invariant-factor form.
 
     divisors are the torsion invariant factors, each >= 2 and each
@@ -176,19 +224,20 @@ class FinAbGroup:
     'Z/2 x Z/4'
     """
 
-    divisors: tuple[int, ...] = ()
-    free_rank: int = 0
+    __slots__ = ("divisors", "free_rank")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "divisors", tuple(self.divisors))
-        for d in self.divisors:
+    def __init__(self, divisors: tuple[int, ...] = (), free_rank: int = 0) -> None:
+        divisors = tuple(divisors)
+        for d in divisors:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"invalid invariant factor {d!r}")
-        for a, b in zip(self.divisors, self.divisors[1:]):
+        for a, b in zip(divisors, divisors[1:]):
             if b % a != 0:
                 raise ValueError(f"divisor chain broken: {a} does not divide {b}")
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
-            raise ValueError(f"invalid free rank {self.free_rank!r}")
+        if not isinstance(free_rank, int) or free_rank < 0:
+            raise ValueError(f"invalid free rank {free_rank!r}")
+        object.__setattr__(self, "divisors", divisors)
+        object.__setattr__(self, "free_rank", free_rank)
 
     def is_trivial(self) -> bool:
         return not self.divisors and self.free_rank == 0

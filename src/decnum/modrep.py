@@ -17,9 +17,7 @@ need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .intmat import FinAbGroup, Matrix, check_prime, freeze, identity, multiply
+from .intmat import FinAbGroup, Matrix, Record, check_prime, freeze, identity, multiply
 
 # The three symmetry groups: kind -> (generators, elements as words in
 # them, "e" the identity first).  Generators satisfy s^2 = 1, t^3 = 1
@@ -65,7 +63,8 @@ def _check_relations(action: dict[str, Matrix], n: int, reduce) -> None:
             raise ValueError("generators must satisfy s t s = t^2")
 
 
-class _GroupAction:
+class _GroupAction(Record):
+    __slots__ = ()
     action: dict[str, Matrix]
 
     @property
@@ -73,7 +72,6 @@ class _GroupAction:
         return _group_kind(self.action)
 
 
-@dataclass
 class EquivariantAbGroup(_GroupAction):
     """A finite abelian group with a generator-indexed integer action.
 
@@ -83,10 +81,11 @@ class EquivariantAbGroup(_GroupAction):
     defining relations are verified mod the divisors.
     """
 
-    group: FinAbGroup
-    action: dict[str, Matrix] = field(default_factory=dict)
+    __slots__ = ("group", "action")
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: FinAbGroup, action: dict[str, Matrix] | None = None) -> None:
+        self.group = group
+        self.action = {} if action is None else action
         if self.group.free_rank:
             raise ValueError("equivariant structure requires a finite group")
         _group_kind(self.action)
@@ -102,7 +101,6 @@ class EquivariantAbGroup(_GroupAction):
         _check_relations(fixed, n, lambda m: _mod_entrywise(m, divs))
 
 
-@dataclass
 class ModularRep(_GroupAction):
     """A finite-dimensional representation over the field with ell elements.
 
@@ -111,11 +109,12 @@ class ModularRep(_GroupAction):
     group relations.
     """
 
-    ell: int
-    dim: int
-    action: dict[str, Matrix] = field(default_factory=dict)
+    __slots__ = ("ell", "dim", "action")
 
-    def __post_init__(self) -> None:
+    def __init__(self, ell: int, dim: int, action: dict[str, Matrix] | None = None) -> None:
+        self.ell = ell
+        self.dim = dim
+        self.action = {} if action is None else action
         check_prime(self.ell)
         if self.dim < 0:
             raise ValueError("negative dimension")

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
+
+from .intmat import FrozenRecord
 
 DEFAULT_WINDOW = (-32, 32)
 _WINDOW_ENV = "DECNUM_DEGREE_WINDOW"
@@ -63,8 +64,7 @@ def _check_degree(deg: int, window: tuple[int, int]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class OModule:
+class OModule(FrozenRecord):
     """O^rank plus one torsion summand O/pi^e per listed exponent.
 
     Exponents are kept individually (not merged) and canonicalized in
@@ -74,16 +74,16 @@ class OModule:
     OModule(rank=2, torsion=(3, 1))
     """
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.rank, int) or self.rank < 0:
-            raise ValueError(f"invalid rank {self.rank!r}")
-        tors = tuple(sorted(self.torsion, reverse=True))
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
+        if not isinstance(rank, int) or rank < 0:
+            raise ValueError(f"invalid rank {rank!r}")
+        tors = tuple(sorted(torsion, reverse=True))
         for e in tors:
             if not isinstance(e, int) or e < 1:
                 raise ValueError(f"invalid torsion exponent {e!r}")
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", tors)
 
     def is_zero(self) -> bool:

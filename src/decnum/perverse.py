@@ -29,7 +29,6 @@ unknown data refuse with ConeError rather than guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .modrep import (
     CHARACTER_DIMS, EquivariantAbGroup, composition_multiplicities, reduce_mod_l,
@@ -48,36 +47,37 @@ from .rootsys import (
     symmetry_action_on_fundamental_group,
 )
 from . import intmat
+from .intmat import FrozenRecord, Record
 
 
 class ConeError(ValueError):
     """A stalk or decomposition request the stored link data cannot answer."""
 
 
-@dataclass(frozen=True)
-class LinkEntry:
+class LinkEntry(FrozenRecord):
     """One cohomology degree of a link: free rank plus invariant factors.
 
     rank None flags "torsion-free but of unrecorded rank"; its torsion
     must then be empty.
     """
 
-    rank: int | None
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        if self.rank is None:
-            if self.torsion:
+    def __init__(self, rank: int | None, torsion: tuple[int, ...] = ()) -> None:
+        torsion = tuple(torsion)
+        if rank is None:
+            if torsion:
                 raise ValueError("unknown-rank entries must be torsion-free")
-        elif not isinstance(self.rank, int) or self.rank < 0:
-            raise ValueError(f"invalid rank {self.rank!r}")
-        for t in self.torsion:
+        elif not isinstance(rank, int) or rank < 0:
+            raise ValueError(f"invalid rank {rank!r}")
+        for t in torsion:
             if not isinstance(t, int) or t < 2:
                 raise ValueError(f"invalid invariant factor {t!r}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("invariant factors must form a divisor chain")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "torsion", torsion)
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -86,20 +86,20 @@ class LinkEntry:
 ZERO_ENTRY = LinkEntry(0, ())
 
 
-@dataclass(frozen=True)
-class ExtensionFlavor:
+class ExtensionFlavor(FrozenRecord):
     """A perversity ("p" or "p+") and an extension kind ("!", "!*", "*")."""
 
-    perversity: str
-    kind: str
+    __slots__ = ("perversity", "kind")
 
     _OFFSETS = {"!": -2, "!*": -1, "*": 0}
 
-    def __post_init__(self) -> None:
-        if self.perversity not in ("p", "p+"):
-            raise ValueError(f"unknown perversity {self.perversity!r}")
-        if self.kind not in self._OFFSETS:
-            raise ValueError(f"unknown extension kind {self.kind!r}")
+    def __init__(self, perversity: str, kind: str) -> None:
+        if perversity not in ("p", "p+"):
+            raise ValueError(f"unknown perversity {perversity!r}")
+        if kind not in self._OFFSETS:
+            raise ValueError(f"unknown extension kind {kind!r}")
+        object.__setattr__(self, "perversity", perversity)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def plus(self) -> bool:
@@ -124,8 +124,7 @@ FLAVOR_CHAIN = (
 )
 
 
-@dataclass
-class ConeData:
+class ConeData(Record):
     """Link cohomology of a cone, keyed by raw degree.
 
     completeness "full" means unlisted degrees vanish; a (lo, hi) pair
@@ -134,13 +133,22 @@ class ConeData:
     action to the torsion of a given degree.
     """
 
-    label: str
-    open_dim: int
-    link_cohomology: dict[int, LinkEntry]
-    completeness: str | tuple[int, int] = "full"
-    equivariant_degrees: dict[int, EquivariantAbGroup] = field(default_factory=dict)
+    __slots__ = ("label", "open_dim", "link_cohomology", "completeness",
+                 "equivariant_degrees")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        label: str,
+        open_dim: int,
+        link_cohomology: dict[int, LinkEntry],
+        completeness: str | tuple[int, int] = "full",
+        equivariant_degrees: dict[int, EquivariantAbGroup] | None = None,
+    ) -> None:
+        self.label = label
+        self.open_dim = open_dim
+        self.link_cohomology = link_cohomology
+        self.completeness = completeness
+        self.equivariant_degrees = {} if equivariant_degrees is None else equivariant_degrees
         if self.open_dim < 1:
             raise ValueError("open part must have positive dimension")
         for deg, entry in self.link_cohomology.items():
@@ -200,10 +208,13 @@ def link_cohomology_simple(
 
     Built by the compactly-supported route: the resolved space retracts
     to the exceptional locus, the weight/root lattice comparison map is
-    the transposed Cartan matrix, and Poincare duality on the real
+    the transposed Cartan matrix (the Cartan matrix itself, as a
+    simply-laced one is symmetric), and Poincare duality on the real
     4-dimensional link converts the answer to ordinary cohomology.  The
     result always lands as H^0 = O, H^2 = weight mod root torsion,
-    H^3 = O.
+    H^3 = O.  With folding_source the symmetry action on H^2 is
+    attached, and its group is the H^2 torsion, so one Smith reduction
+    serves both.
 
     >>> c = link_cohomology_simple(DynkinDiagram("A", 1))
     >>> [(d, e.rank, e.torsion) for d, e in sorted(c.link_cohomology.items())]
@@ -213,8 +224,17 @@ def link_cohomology_simple(
         raise ConeError(
             f"{hat} is not simply laced; fold it first (see subregular_cone)"
         )
-    ct = intmat.transpose(cartan_matrix(hat))
-    group, _ = intmat.cokernel(ct)
+    equivariant: dict[int, EquivariantAbGroup] = {}
+    if folding_source is not None:
+        if folding_source.gamma_hat != hat:
+            raise ConeError(
+                f"folding of {folding_source.gamma} lands in "
+                f"{folding_source.gamma_hat}, not {hat}"
+            )
+        equivariant[2] = symmetry_action_on_fundamental_group(folding_source)
+        group = equivariant[2].group
+    else:
+        group, _ = intmat.cokernel(cartan_matrix(hat))
     if group.free_rank:
         raise AssertionError("lattice comparison map must be injective")
     hc = GradedOModule(
@@ -224,14 +244,6 @@ def link_cohomology_simple(
         deg: LinkEntry(m.rank, tuple(sorted(m.torsion)))
         for deg, m in poincare_dual(hc, 4).items()
     }
-    equivariant: dict[int, EquivariantAbGroup] = {}
-    if folding_source is not None:
-        if folding_source.gamma_hat != hat:
-            raise ConeError(
-                f"folding of {folding_source.gamma} lands in "
-                f"{folding_source.gamma_hat}, not {hat}"
-            )
-        equivariant[2] = symmetry_action_on_fundamental_group(folding_source)
     return ConeData(
         label=label or f"simple {hat}",
         open_dim=2,
@@ -241,15 +253,22 @@ def link_cohomology_simple(
     )
 
 
-def subregular_cone(gamma: DynkinDiagram) -> ConeData:
+def subregular_cone(
+    gamma: DynkinDiagram, folding_source: FoldingDatum | None = None
+) -> ConeData:
     """The folded surface cone of any type, with its symmetry action.
 
     For simply-laced gamma the folding is trivial and this is just
-    link_cohomology_simple with a trivial action attached.
+    link_cohomology_simple with a trivial action attached.  A caller
+    that already holds folding(gamma) passes it as folding_source.
     """
-    f = folding(gamma)
+    if folding_source is None:
+        folding_source = folding(gamma)
+    elif folding_source.gamma != gamma:
+        raise ConeError(f"folding of {folding_source.gamma} given for {gamma}")
     return link_cohomology_simple(
-        f.gamma_hat, folding_source=f, label=f"subregular {gamma}"
+        folding_source.gamma_hat, folding_source=folding_source,
+        label=f"subregular {gamma}",
     )
 
 
@@ -453,15 +472,18 @@ def decomposition_number(c: ConeData, ell: int) -> int:
     return diff
 
 
-@dataclass
-class DecompositionReport:
+class DecompositionReport(Record):
     """Structured output of equivariant_decomposition, CLI-ready."""
 
-    singularity: str
-    ell: int
-    group: str
-    plain: int
-    per_character: dict[str, int]
+    __slots__ = ("singularity", "ell", "group", "plain", "per_character")
+
+    def __init__(self, singularity: str, ell: int, group: str, plain: int,
+                 per_character: dict[str, int]) -> None:
+        self.singularity = singularity
+        self.ell = ell
+        self.group = group
+        self.plain = plain
+        self.per_character = per_character
 
 
 def equivariant_decomposition(c: ConeData, group: str, ell: int) -> DecompositionReport:

@@ -26,19 +26,16 @@ invariant factors agree either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import intmat
-from .intmat import FinAbGroup, Matrix
+from .intmat import FinAbGroup, FrozenRecord, Matrix
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
 
 
-@dataclass(frozen=True)
-class DynkinDiagram:
+class DynkinDiagram(FrozenRecord):
     """An irreducible finite-type Dynkin diagram, e.g. DynkinDiagram("B", 3).
 
     >>> str(DynkinDiagram("D", 5))
@@ -49,17 +46,18 @@ class DynkinDiagram:
     ValueError: inadmissible type D3
     """
 
-    series: str
-    rank: int
+    __slots__ = ("series", "rank")
 
-    def __post_init__(self) -> None:
+    def __init__(self, series: str, rank: int) -> None:
         ok = False
-        if self.series in SERIES_MIN_RANK:
-            ok = isinstance(self.rank, int) and self.rank >= SERIES_MIN_RANK[self.series]
-        elif (self.series, self.rank) in EXCEPTIONAL:
+        if series in SERIES_MIN_RANK:
+            ok = isinstance(rank, int) and rank >= SERIES_MIN_RANK[series]
+        elif (series, rank) in EXCEPTIONAL:
             ok = True
         if not ok:
-            raise ValueError(f"inadmissible type {self.series}{self.rank}")
+            raise ValueError(f"inadmissible type {series}{rank}")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -120,19 +118,28 @@ ALL_DIAGRAMS_RANK_LE_8 = tuple(
 )
 
 
-@dataclass(frozen=True)
-class RootSystemData:
+class RootSystemData(FrozenRecord):
     """Roots in simple-root coordinates plus derived numerology.
 
     roots are sorted lexicographically;  lengths[i] is "long" or "short"
     for roots[i] (every root of a simply-laced system counts as long).
     """
 
-    cartan: Matrix
-    roots: tuple[tuple[int, ...], ...]
-    lengths: tuple[str, ...]
-    highest_root: tuple[int, ...]
-    dual_coxeter: int
+    __slots__ = ("cartan", "roots", "lengths", "highest_root", "dual_coxeter")
+
+    def __init__(
+        self,
+        cartan: Matrix,
+        roots: tuple[tuple[int, ...], ...],
+        lengths: tuple[str, ...],
+        highest_root: tuple[int, ...],
+        dual_coxeter: int,
+    ) -> None:
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "highest_root", highest_root)
+        object.__setattr__(self, "dual_coxeter", dual_coxeter)
 
 
 def _validate_cartan(c: Matrix) -> None:
@@ -159,15 +166,21 @@ def _symmetrizer(c: Matrix, row_support) -> tuple[int, ...]:
     entries (j, C[i][j]) of each row i.
     """
     n = len(c)
-    vals: list[Fraction | None] = [None] * n
-    vals[0] = Fraction(1)
+    # L[i] as a fraction in lowest terms: (numerator, positive denominator)
+    vals: list[tuple[int, int] | None] = [None] * n
+    vals[0] = (1, 1)
     queue = [0]
     while queue:
         i = queue.pop()
+        num, den = vals[i]
         for j, x in row_support[i]:
             if i != j:
                 # C[i][j] L[j] == C[j][i] L[i] forces the ratio below
-                want = vals[i] * Fraction(c[j][i], x)
+                p, q = num * c[j][i], den * x
+                if q < 0:
+                    p, q = -p, -q
+                g = gcd(p, q)
+                want = (p // g, q // g)
                 if vals[j] is None:
                     vals[j] = want
                     queue.append(j)
@@ -175,8 +188,8 @@ def _symmetrizer(c: Matrix, row_support) -> tuple[int, ...]:
                     raise ValueError("Cartan matrix is not symmetrizable")
     if any(v is None for v in vals):
         raise ValueError("Cartan matrix is not connected")
-    scale = lcm(*(v.denominator for v in vals))
-    return tuple(int(v * scale) for v in vals)
+    scale = lcm(*(q for _, q in vals))
+    return tuple(p * (scale // q) for p, q in vals)
 
 
 def generate_roots(cartan) -> RootSystemData:
@@ -344,8 +357,7 @@ def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
-@dataclass(frozen=True)
-class FoldingDatum:
+class FoldingDatum(FrozenRecord):
     """A diagram, its simply-laced unfolding, and the folding symmetry.
 
     generators maps generator labels to node permutations of gamma_hat
@@ -356,19 +368,23 @@ class FoldingDatum:
     documentary.
     """
 
-    gamma: DynkinDiagram
-    gamma_hat: DynkinDiagram
-    symmetry: str  # "trivial" | "C2" | "S3"
-    generators: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    quotient_groups: tuple[str, str] = ("", "")
+    __slots__ = ("gamma", "gamma_hat", "symmetry", "generators", "quotient_groups")
 
-    def __post_init__(self) -> None:
-        expected = {"trivial": (), "C2": ("s",), "S3": ("s", "t")}[self.symmetry]
-        if tuple(sorted(self.generators)) != tuple(sorted(expected)):
+    def __init__(
+        self,
+        gamma: DynkinDiagram,
+        gamma_hat: DynkinDiagram,
+        symmetry: str,  # "trivial" | "C2" | "S3"
+        generators: dict[str, tuple[int, ...]] | None = None,
+        quotient_groups: tuple[str, str] = ("", ""),
+    ) -> None:
+        generators = {} if generators is None else generators
+        expected = {"trivial": (), "C2": ("s",), "S3": ("s", "t")}[symmetry]
+        if tuple(sorted(generators)) != tuple(sorted(expected)):
             raise ValueError("generator labels do not match symmetry group")
-        c = cartan_matrix(self.gamma_hat)
-        n = self.gamma_hat.rank
-        for label, perm in self.generators.items():
+        c = cartan_matrix(gamma_hat)
+        n = gamma_hat.rank
+        for label, perm in generators.items():
             if sorted(perm) != list(range(n)):
                 raise ValueError(f"generator {label} is not a permutation")
             for i in range(n):
@@ -378,18 +394,23 @@ class FoldingDatum:
                             f"generator {label} is not a diagram automorphism"
                         )
         ident = tuple(range(n))
-        if "s" in self.generators:
-            s = self.generators["s"]
+        if "s" in generators:
+            s = generators["s"]
             if _perm_compose(s, s) != ident or s == ident:
                 raise ValueError("generator s must have order exactly 2")
-        if "t" in self.generators:
-            t = self.generators["t"]
+        if "t" in generators:
+            t = generators["t"]
             tt = _perm_compose(t, t)
             if _perm_compose(tt, t) != ident or t == ident or tt == ident:
                 raise ValueError("generator t must have order exactly 3")
-            s = self.generators["s"]
+            s = generators["s"]
             if _perm_compose(_perm_compose(s, t), s) != tt:
                 raise ValueError("generators must satisfy s t s = t^2")
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma_hat", gamma_hat)
+        object.__setattr__(self, "symmetry", symmetry)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "quotient_groups", quotient_groups)
 
     def symmetry_order(self) -> int:
         return {"trivial": 1, "C2": 2, "S3": 6}[self.symmetry]

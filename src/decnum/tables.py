@@ -121,7 +121,7 @@ def subregular_answer(d: DynkinDiagram, ells) -> tuple[ConeData, FoldingDatum, l
     """The folded cone of d, its folding and one equivariant report per
     ell, each plain number checked against the rule of the unfolding."""
     f = folding(d)
-    cone = subregular_cone(d)
+    cone = subregular_cone(d, f)
     rule = _simple_rule(f.gamma_hat)
     reports = [equivariant_decomposition(cone, f.symmetry, ell) for ell in ells]
     for report in reports:

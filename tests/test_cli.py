@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from decnum import intmat, tables
+from decnum import intmat, perverse, rootsys, tables
 from decnum.cli import MINIMAL_MAX_RANK, RANK_CEILINGS, main
 
 
@@ -175,6 +175,35 @@ def test_one_smith_form_per_request(capsys, monkeypatch, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("subregular", "--type", "B", "--rank", "5"),
+    ("subregular", "--type", "C", "--rank", "3", "--ell", "3"),
+    ("subregular", "--type", "G", "--rank", "2", "--format", "json"),
+    ("subregular", "--type", "E", "--rank", "6", "--format", "markdown"),
+])
+def test_one_folding_and_smith_form_per_subregular_request(capsys, monkeypatch, argv):
+    # the folding is built once and its symmetry action's group is the
+    # link torsion, so the unfolding's Cartan matrix is reduced once
+    reductions, foldings = [], []
+    reduce, fold = intmat.cokernel, rootsys.folding
+
+    def counted_reduce(m):
+        reductions.append(len(m))
+        return reduce(m)
+
+    def counted_fold(d):
+        foldings.append(d)
+        return fold(d)
+
+    monkeypatch.setattr(intmat, "cokernel", counted_reduce)
+    for module in (rootsys, perverse, tables):
+        monkeypatch.setattr(module, "folding", counted_fold)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert len(reductions) == 1
+    assert len(foldings) == 1
 
 
 @pytest.mark.parametrize("argv, line", [

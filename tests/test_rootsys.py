@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
-from decnum import intmat
+from decnum import intmat, rootsys
 from decnum.rootsys import (
     ALL_DIAGRAMS_RANK_LE_8,
     EXCEPTIONAL,
@@ -158,6 +161,47 @@ def test_highest_roots_frozen():
     assert root_system(DynkinDiagram("D", 4)).highest_root == (1, 2, 1, 1)
     assert root_system(DynkinDiagram("G", 2)).highest_root == (3, 2)
     assert root_system(DynkinDiagram("C", 3)).highest_root == (2, 2, 1)
+
+
+def _rational_symmetrizer(c):
+    # the same walk in Fraction arithmetic
+    n = len(c)
+    vals = [None] * n
+    vals[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(n):
+            if i != j and c[i][j]:
+                want = vals[i] * Fraction(c[j][i], c[i][j])
+                if vals[j] is None:
+                    vals[j] = want
+                    queue.append(j)
+                elif vals[j] != want:
+                    return "not symmetrizable"
+    if None in vals:
+        return "not connected"
+    scale = lcm(*(v.denominator for v in vals))
+    return tuple(int(v * scale) for v in vals)
+
+
+def test_symmetrizer_matches_rational_arithmetic():
+    matrices = [cartan_matrix(d) for d in ALL_DIAGRAMS_RANK_LE_8]
+    matrices += [cartan_matrix(DynkinDiagram(s, 40)) for s in "ABCD"]
+    matrices += [
+        ((2, -3), (-2, 2)),                         # ratio 3/2
+        ((2, -1, 0), (-4, 2, -3), (0, -2, 2)),      # ratios 4, then 2/3
+        ((2, -1, -1), (-2, 2, -1), (-1, -1, 2)),    # a cycle that disagrees
+        ((2, 0, 0), (0, 2, -1), (0, -1, 2)),        # two components
+    ]
+    for c in matrices:
+        support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
+        want = _rational_symmetrizer(c)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=f"^Cartan matrix is {want}$"):
+                rootsys._symmetrizer(c, support)
+        else:
+            assert rootsys._symmetrizer(c, support) == want
 
 
 def test_generate_roots_rejects_bad_input():

@@ -127,8 +127,8 @@ def test_tables_are_deterministic():
 
 
 def test_paper_tables_reduce_each_cone_once(monkeypatch):
-    # one Smith form per simple or minimal cone; a subregular cone reduces
-    # the unfolding's Cartan matrix for its link and again for the action
+    # one Smith form per cone; a subregular cone's link torsion is the
+    # group of its symmetry action, so the unfolding is reduced only once
     calls = []
     reduce = intmat.cokernel
 
@@ -138,4 +138,5 @@ def test_paper_tables_reduce_each_cone_once(monkeypatch):
 
     monkeypatch.setattr(intmat, "cokernel", counted)
     paper_tables()
-    assert len(calls) == len(simple_grid()) + 2 * len(subregular_grid()) + len(minimal_grid())
+    assert len(calls) == len(simple_grid()) + len(subregular_grid()) + len(minimal_grid())
+    assert len(calls) == 72
