@@ -33,17 +33,18 @@ from .perverse import (
 from .rootsys import DynkinDiagram, fundamental_group
 
 # largest rank each typed command accepts, checked before any matrix is
-# built.  Cold times at the ceiling, worst series, Python 3.11 on one Xeon
-# vCPU: lattice D1000 --dual 1.0-1.2 s (64 MB peak RSS), simple A800
-# 0.7 s, subregular B300 (unfolds to A599) 0.9 s, stalks B300 0.8 s,
-# minimal B100 0.4 s (its root closure holds 2n^2 roots of n coordinates)
+# built.  Cold times at the ceiling, worst series, bytecode off, Python
+# 3.11 on one Xeon vCPU: lattice B2000 --dual 0.8-1.0 s (78 MB peak RSS),
+# simple A2400 0.8-0.9 s, subregular B800 (unfolds to A1599) 0.9 s,
+# stalks B800 0.9 s, minimal B100 0.25 s (its root closure holds 2n^2
+# roots of n coordinates)
 MINIMAL_MAX_RANK = 100
 RANK_CEILINGS = {
-    "lattice": 1000,
-    "simple": 800,
-    "subregular": 300,
+    "lattice": 2000,
+    "simple": 2400,
+    "subregular": 800,
     "minimal": MINIMAL_MAX_RANK,
-    "stalks": 300,
+    "stalks": 800,
 }
 
 # a usage error names a longer argument by its length instead of quoting it

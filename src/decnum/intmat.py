@@ -4,11 +4,19 @@ Everything is pure and deterministic.  Matrices are tuples of tuples of
 Python ints (arbitrary precision, so coefficient growth during reduction
 can never overflow or wrap).  Inputs are accepted as any nested sequence
 of ints and frozen on entry; no function mutates its arguments.
+
+Smith reduction works on sparse rows, so an elementary operation costs
+the nonzero entries it touches, and it logs each operation instead of
+carrying the transforms u and v.  A caller replays the log only for
+the rows it reads, at O(1) per operation and row: cokernel the rows of
+u with invariant factor other than 1 (at most two for a Cartan matrix),
+induced_endomorphism those rows times g times u^-1.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress
 from math import prod
 from operator import attrgetter
 
@@ -41,19 +49,11 @@ def freeze(m: Sequence[Sequence[int]]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple(map(tuple, _identity_rows(n)))
-
-
-def _identity_rows(n: int) -> list[list[int]]:
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 1
-    return rows
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def transpose(m: Sequence[Sequence[int]]) -> Matrix:
-    m = freeze(m)
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
+    return tuple(zip(*freeze(m)))
 
 
 def multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -256,133 +256,137 @@ class FinAbGroup(FrozenRecord):
         return " x ".join(parts) if parts else "0"
 
 
-class _Reduction:
-    """Mutable state for Smith reduction with transform tracking.
+def _reduce(m: Matrix) -> tuple[list[dict[int, int]], list, list]:
+    """Smith reduction of m on sparse rows: (rows, row log, column log).
 
-    Maintains u * original * v == a and uinv == u^-1 throughout, using
-    only elementary (determinant +-1) operations.  u is always tracked;
-    uinv and v only when asked for.  An untracked transform is an empty
-    list, so the loops that update it run over nothing.
+    Each row of a is a dict {column: nonzero entry}, and cols[j] is the
+    set of rows with a nonzero entry in column j.  The pivot rule is
+    row-major order, least magnitude, stopping at the first unit, so
+    the operations are those of a dense reduction.  They are logged,
+    not applied to transforms: see _replay.
     """
+    columns = range(len(m[0]))
+    a = [dict(zip(compress(columns, row), compress(row, row))) for row in m]
+    cols = [set() for _ in m[0]]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    rowlog, collog = [], []
 
-    def __init__(self, m: Matrix, uinv: bool = False, v: bool = False):
-        self.a = [list(row) for row in m]
-        self.rows = len(m)
-        self.cols = len(m[0])
-        self.u = _identity_rows(self.rows)
-        self.uinv = _identity_rows(self.rows) if uinv else []
-        self.v = _identity_rows(self.cols) if v else []
+    def row_swap(i, j):
+        if i != j:
+            for k in a[i].keys() ^ a[j].keys():
+                cols[k] ^= {i, j}
+            a[i], a[j] = a[j], a[i]
+            rowlog.append((i, j, 0))
 
-    # row ops act on a and u on the left; uinv picks up the inverse op
-    # on the right (as column operations) so uinv stays the exact inverse.
+    def col_swap(i, j):
+        if i != j:
+            for r in cols[i] | cols[j]:
+                row = a[r]
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                if x:
+                    row[j] = x
+                if y:
+                    row[i] = y
+            cols[i], cols[j] = cols[j], cols[i]
+            collog.append((i, j, 0))
 
-    def row_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
-        for r in self.uinv:
-            r[i], r[j] = r[j], r[i]
+    def add(row, r, k, x):
+        # row r gains x in column k
+        x += row.get(k, 0)
+        if x:
+            if k not in row:
+                cols[k].add(r)
+            row[k] = x
+        else:
+            del row[k]
+            cols[k].discard(r)
 
-    def row_negate(self, i: int) -> None:
-        self.a[i] = [-x for x in self.a[i]]
-        self.u[i] = [-x for x in self.u[i]]
-        for r in self.uinv:
-            r[i] = -r[i]
+    def pivot_to(s):
+        # the nonzero entry of least magnitude, row-major, in rows s on
+        # (their entries left of column s are already cleared)
+        best = None
+        for i in range(s, len(a)):
+            if a[i]:
+                e, j = min((abs(x), j) for j, x in a[i].items())
+                if best is None or e < best[0]:
+                    best = (e, i, j)
+                    if e == 1:
+                        break
+        if best is not None:
+            row_swap(s, best[1])
+            col_swap(s, best[2])
+        return best
 
-    def row_addmul(self, i: int, j: int, q: int) -> None:
-        """row i += q * row j (i != j)."""
-        if q == 0:
-            return
-        self.a[i] = [x + q * y for x, y in zip(self.a[i], self.a[j])]
-        self.u[i] = [x + q * y for x, y in zip(self.u[i], self.u[j])]
-        for r in self.uinv:
-            r[j] -= q * r[i]
-
-    def col_swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for r in self.a:
-            r[i], r[j] = r[j], r[i]
-        for r in self.v:
-            r[i], r[j] = r[j], r[i]
-
-    def col_addmul(self, j: int, k: int, q: int) -> None:
-        """col j += q * col k (j != k)."""
-        if q == 0:
-            return
-        for r in self.a:
-            r[j] += q * r[k]
-        for r in self.v:
-            r[j] += q * r[k]
-
-
-def _smallest_entry(a: list[list[int]], s: int, rows: int, cols: int):
-    """Position of the nonzero entry of least magnitude in the block [s:, s:].
-
-    Scan order is row-major and only a strictly smaller magnitude displaces
-    the current choice, so the result is deterministic.  Nothing displaces
-    a unit, so the scan stops at the first one.
-    """
-    best = None
-    best_abs = 0
-    for i in range(s, rows):
-        row = a[i]
-        for j in range(s, cols):
-            e = row[j]
-            if e != 0 and (best is None or abs(e) < best_abs):
-                best = (i, j)
-                best_abs = abs(e)
-                if best_abs == 1:
-                    return best
-    return best
-
-
-def _snf_state(m: Matrix, uinv: bool = False, v: bool = False) -> _Reduction:
-    st = _Reduction(m, uinv, v)
-    a, rows, cols = st.a, st.rows, st.cols
-    for s in range(min(rows, cols)):
-        pos = _smallest_entry(a, s, rows, cols)
-        if pos is None:
+    for s in range(min(len(a), len(cols))):
+        if pivot_to(s) is None:
             break
-        st.row_swap(s, pos[0])
-        st.col_swap(s, pos[1])
         while True:
-            if a[s][s] < 0:
-                st.row_negate(s)
+            p = a[s][s]
+            if p < 0:
+                a[s] = {k: -x for k, x in a[s].items()}
+                rowlog.append((s, s, -1))
+                p = -p
             # clear column s below and row s to the right; floor quotients
             # leave remainders in [0, pivot), so magnitudes shrink each pass
             dirty = False
-            for i in range(s + 1, rows):
-                if a[i][s] != 0:
-                    st.row_addmul(i, s, -(a[i][s] // a[s][s]))
-                    if a[i][s] != 0:
-                        dirty = True
-            for j in range(s + 1, cols):
-                if a[s][j] != 0:
-                    st.col_addmul(j, s, -(a[s][j] // a[s][s]))
-                    if a[s][j] != 0:
-                        dirty = True
+            for i in sorted(cols[s] - {s}):
+                q = -(a[i][s] // p)
+                if q:
+                    for k, y in a[s].items():
+                        add(a[i], i, k, q * y)
+                    rowlog.append((i, s, q))
+                dirty = dirty or s in a[i]
+            for j in sorted(a[s].keys() - {s}):
+                q = -(a[s][j] // p)
+                if q:
+                    for r in list(cols[s]):
+                        add(a[r], r, j, q * a[r][s])
+                    collog.append((s, j, q))
+                dirty = dirty or j in a[s]
             if dirty:
-                pos = _smallest_entry(a, s, rows, cols)
-                st.row_swap(s, pos[0])
-                st.col_swap(s, pos[1])
+                pivot_to(s)
                 continue
             # cross is clear; enforce pivot | rest of block (a unit divides all)
-            if a[s][s] == 1:
+            if p == 1:
                 break
-            witness = None
-            for i in range(s + 1, rows):
-                for j in range(s + 1, cols):
-                    if a[i][j] % a[s][s] != 0:
-                        witness = i
-                        break
-                if witness is not None:
-                    break
+            witness = next((i for i in range(s + 1, len(a))
+                            if any(x % p for x in a[i].values())), None)
             if witness is None:
                 break
-            st.row_addmul(s, witness, 1)
-    return st
+            for k, y in a[witness].items():
+                add(a[s], s, k, y)
+            rowlog.append((s, witness, 1))
+    return a, rowlog, collog
+
+
+def _replay(ops, x: list[int], sign: int = 1) -> list[int]:
+    """The row vector x times the logged elementary matrices, in order.
+
+    A log entry (i, j, q) is the swap of i and j when q == 0, the
+    negation of i when i == j, and else I + q e_i e_j^T: as a row
+    operation it adds q times row j to row i, as a column operation q
+    times column i to column j.  On a row vector each costs O(1): x
+    times I + q e_i e_j^T is x with x[j] += q x[i].  So row r of
+    u = E_k...E_1 replays the row log backwards on e_r, x u^-1 replays
+    it forwards with sign -1, and row r of v = F_1...F_m replays the
+    column log forwards on e_r.
+    """
+    for i, j, q in ops:
+        if i == j:
+            x[i] = -x[i]
+        elif q:
+            x[j] += sign * q * x[i]
+        else:
+            x[i], x[j] = x[j], x[i]
+    return x
+
+
+def _unit(n: int, i: int) -> list[int]:
+    x = [0] * n
+    x[i] = 1
+    return x
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfResult:
@@ -392,18 +396,20 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfResult:
     >>> r.diagonal()
     (1, 3)
     """
-    st = _snf_state(freeze(m), v=True)
+    m = freeze(m)
+    a, rowlog, collog = _reduce(m)
+    rows, cols = len(m), len(m[0])
+    rowlog.reverse()
     return SnfResult(
-        u=tuple(tuple(r) for r in st.u),
-        d=tuple(tuple(r) for r in st.a),
-        v=tuple(tuple(r) for r in st.v),
+        u=tuple(tuple(_replay(rowlog, _unit(rows, i))) for i in range(rows)),
+        d=tuple(tuple(row.get(j, 0) for j in range(cols)) for row in a),
+        v=tuple(tuple(_replay(collog, _unit(cols, i))) for i in range(cols)),
     )
 
 
-def _effective_diagonal(st: _Reduction) -> list[int]:
+def _effective_diagonal(a: list[dict[int, int]]) -> list[int]:
     # one entry per row: the SNF diagonal entry, or 0 for rows past it
-    k = min(st.rows, st.cols)
-    return [st.a[i][i] if i < k else 0 for i in range(st.rows)]
+    return [row.get(i, 0) for i, row in enumerate(a)]
 
 
 def cokernel(m: Sequence[Sequence[int]]) -> tuple[FinAbGroup, Matrix]:
@@ -418,15 +424,19 @@ def cokernel(m: Sequence[Sequence[int]]) -> tuple[FinAbGroup, Matrix]:
     >>> (g.divisors, g.free_rank)
     ((3,), 0)
     """
-    st = _snf_state(freeze(m))
-    eff = _effective_diagonal(st)
+    a, rowlog, _ = _reduce(freeze(m))
+    rows = len(a)
+    eff = _effective_diagonal(a)
     torsion_idx = [i for i, d in enumerate(eff) if d >= 2]
     free_idx = [i for i, d in enumerate(eff) if d == 0]
     group = FinAbGroup(tuple(eff[i] for i in torsion_idx), len(free_idx))
+    # only the rows of u with eff != 1 are read
+    rowlog.reverse()
+    u = {i: _replay(rowlog, _unit(rows, i)) for i in torsion_idx + free_idx}
     proj = tuple(
-        tuple(st.u[i][k] % eff[i] for i in torsion_idx)
-        + tuple(st.u[i][k] for i in free_idx)
-        for k in range(st.rows)
+        tuple(u[i][k] % eff[i] for i in torsion_idx)
+        + tuple(u[i][k] for i in free_idx)
+        for k in range(rows)
     )
     return group, proj
 
@@ -446,13 +456,14 @@ def induced_endomorphism(
     rows = len(m)
     if len(g) != rows or len(g[0]) != rows:
         raise ValueError(f"endomorphism must be {rows}x{rows}")
-    st = _snf_state(m, uinv=True)
-    eff = _effective_diagonal(st)
+    a, rowlog, _ = _reduce(m)
+    eff = _effective_diagonal(a)
     # in u-coordinates the image lattice is the span of eff[j] * e_j over
     # eff[j] > 0; g preserves it iff eff[i] | eff[j] * h[i][j] throughout,
     # for h = u g u^-1.  Rows with eff[i] == 1 pass trivially, so only the
     # rows with eff[i] != 1 of h are formed, each as (u[i] g) u^-1.
-    h = {i: _row_times(_row_times(st.u[i], g), st.uinv)
+    backwards = rowlog[::-1]
+    h = {i: _replay(rowlog, _row_times(_replay(backwards, _unit(rows, i)), g), -1)
          for i, d in enumerate(eff) if d != 1}
     for j in range(rows):
         if eff[j] == 0:
@@ -471,10 +482,12 @@ def induced_endomorphism(
     )
 
 
-def _row_times(row: Sequence[int], m: Sequence[Sequence[int]]) -> list[int]:
-    # the row vector row * m, summing only the rows of m that row weights
+def _row_times(row: Sequence[int], m: Matrix) -> list[int]:
+    # the row vector row * m, over the nonzero entries of the rows it weights
     out = [0] * len(m[0])
+    cols = range(len(out))
     for x, mrow in zip(row, m):
         if x:
-            out = [o + x * y for o, y in zip(out, mrow)]
+            for j, y in zip(compress(cols, mrow), compress(mrow, mrow)):
+                out[j] += x * y
     return out

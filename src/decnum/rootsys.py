@@ -27,6 +27,7 @@ invariant factors agree either way.
 from __future__ import annotations
 
 from math import gcd, lcm
+from struct import iter_unpack
 
 from . import intmat
 from .intmat import FinAbGroup, FrozenRecord, Matrix
@@ -99,15 +100,27 @@ def cartan_matrix(d: DynkinDiagram) -> Matrix:
     ((2, -1), (-3, 2))
     """
     n = d.rank
-    ls = _length_squares(d)
     c = [[0] * n for _ in range(n)]
     for i in range(n):
         c[i][i] = 2
+    for (i, j), x in _off_diagonal(d).items():
+        c[i][j] = x
+    # every entry is an int by construction, so intmat.freeze's check is
+    # skipped; each row list is released as soon as its tuple exists
+    for i, row in enumerate(c):
+        c[i] = tuple(row)
+    return tuple(c)
+
+
+def _off_diagonal(d: DynkinDiagram) -> dict[tuple[int, int], int]:
+    """The nonzero off-diagonal Cartan entries, keyed by (row, column)."""
+    ls = _length_squares(d)
+    entries = {}
     for i, j in _edges(d):
         # C[i][j] = -(a_i, a_i)/(a_j, a_j) when a_i is the longer one, else -1
-        c[i][j] = -(ls[i] // ls[j]) if ls[i] > ls[j] else -1
-        c[j][i] = -(ls[j] // ls[i]) if ls[j] > ls[i] else -1
-    return intmat.freeze(c)
+        entries[i, j] = -(ls[i] // ls[j]) if ls[i] > ls[j] else -1
+        entries[j, i] = -(ls[j] // ls[i]) if ls[j] > ls[i] else -1
+    return entries
 
 
 ALL_DIAGRAMS_RANK_LE_8 = tuple(
@@ -192,6 +205,10 @@ def _symmetrizer(c: Matrix, row_support) -> tuple[int, ...]:
     return tuple(p * (scale // q) for p, q in vals)
 
 
+# byte b to (-b) mod 256
+_NEGATED = bytes(-b & 255 for b in range(256))
+
+
 def generate_roots(cartan) -> RootSystemData:
     """Close the simple roots under the raising simple reflections.
 
@@ -206,11 +223,18 @@ def generate_roots(cartan) -> RootSystemData:
     carries its nonzero pairings, so a reflection reads p[i] directly
     and the child's pairings are the parent's minus p[i] times Cartan
     row i; each root also inherits the simple root it is conjugate to,
-    and with it its squared length.  The negative roots are the
-    negated positive ones: they sort before every positive root, in
-    the reverse order of their negations.  The closure raises
-    ValueError once the roots number more than max(240, 2 n^2), the
-    most any finite type of rank n has.
+    and with it its squared length.
+
+    A positive root is held as a packed int, one byte per coordinate
+    with coordinate 0 the most significant, so integer order is tuple
+    order and the sort is one int sort.  No finite root system has a
+    coefficient above 6 (the largest is E8's highest root), so a root
+    that would need one means an infinite Weyl group, whose closure
+    never ends; it is refused at once with the error the closure gives
+    once the roots number more than max(240, 2 n^2), the most any
+    finite type of rank n has.  The negative roots are the negated
+    positive ones: they sort before every positive root, in the
+    reverse order of their negations.
 
     >>> rs = generate_roots(cartan_matrix(DynkinDiagram("A", 2)))
     >>> (len(rs.roots), rs.dual_coxeter, rs.highest_root)
@@ -224,8 +248,11 @@ def generate_roots(cartan) -> RootSystemData:
     # safety bound: no finite root system of rank n has more roots (B_n and
     # C_n have 2n^2, E8 has 240), so a closure past it is affine or indefinite
     bound = max(240, 2 * n * n)
+    refusal = (f"reflection closure exceeded the safety bound of {bound} "
+               f"roots for rank {n}; not a finite type")
     # nonzero entries of each Cartan row: reflection i changes only these pairings
     row_support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
+    shift = [8 * (n - 1 - i) for i in range(n)]
 
     # origin[v] is the simple root whose reflection orbit the positive
     # root v lies in, so v has its squared length; it doubles as the
@@ -233,27 +260,25 @@ def generate_roots(cartan) -> RootSystemData:
     origin = {}
     frontier = []
     for i in range(n):
-        v = tuple(1 if k == i else 0 for k in range(n))
-        origin[v] = i
-        frontier.append((v, dict(row_support[i])))
+        origin[1 << shift[i]] = i
+        frontier.append((1 << shift[i], dict(row_support[i])))
     while frontier:
         nxt = []
         for v, pairing in frontier:
             for i, p in pairing.items():
                 if p >= 0:
                     continue
-                w = list(v)
-                w[i] -= p
-                w = tuple(w)
+                # checked before the lookup: past 255 it would carry into
+                # the next coordinate's byte and could alias another root
+                if (v >> shift[i] & 255) - p > 6:
+                    raise ValueError(refusal)
+                w = v - (p << shift[i])
                 if w in origin:
                     continue
                 origin[w] = origin[v]
                 # each positive root stands for itself and its negative
                 if 2 * len(origin) > bound:
-                    raise ValueError(
-                        f"reflection closure exceeded the safety bound of {bound} "
-                        f"roots for rank {n}; not a finite type"
-                    )
+                    raise ValueError(refusal)
                 q = dict(pairing)
                 for j, x in row_support[i]:
                     y = q.get(j, 0) - p * x
@@ -264,24 +289,30 @@ def generate_roots(cartan) -> RootSystemData:
                 nxt.append((w, q))
         frontier = nxt
 
-    positive = sorted(origin)
-    # negated through a list, not map(): tuple() then knows the exact size,
-    # which kept peak RSS about 0.8 MB lower over long runs
-    roots = tuple(tuple([-x for x in v]) for v in reversed(positive)) + tuple(positive)
+    packed = sorted(origin)
+    chunks = [v.to_bytes(n, "big") for v in packed]
+    positive = tuple(iter_unpack(f"{n}B", b"".join(chunks)))
+    chunks.reverse()
+    # a negated byte read back as a signed one is the negated coordinate
+    roots = tuple(iter_unpack(f"{n}b", b"".join(chunks).translate(_NEGATED))) + positive
     ls = _symmetrizer(c, row_support)
     # (v, v) up to the common factor 1/2 is sum_ij v_i v_j C[i][j] L[j],
     # which is 2 L[i] on the simple root a_i
     top = max(ls)
-    upper = tuple("long" if ls[origin[v]] == top else "short" for v in positive)
+    upper = tuple("long" if ls[origin[v]] == top else "short" for v in packed)
     lengths = upper[::-1] + upper
 
-    highest = max(positive, key=sum)
-    # every negative root lies below 0 <= highest, so checking the
-    # coordinatewise maximum of the positive roots suffices
-    if any(h < x for h, x in zip(highest, map(max, zip(*positive)))):
+    # the highest root dominates every root, so it is also the last one;
+    # every negative root lies below 0, so checking the positive ones
+    # suffices.  With a guard bit over each coordinate byte, packed[-1]
+    # minus v keeps every guard bit exactly when no coordinate of v is larger
+    highest = positive[-1]
+    guard = int.from_bytes(b"\x80" * n, "big")
+    guarded = packed[-1] | guard
+    if any(guarded - v & guard != guard for v in packed):
         raise AssertionError("highest root fails to dominate")
     # h^vee = 1 + sum_i highest[i] (a_i, a_i) / (theta, theta)
-    weight, rest = divmod(sum(h * l for h, l in zip(highest, ls)), ls[origin[highest]])
+    weight, rest = divmod(sum(h * l for h, l in zip(highest, ls)), ls[origin[packed[-1]]])
     if rest:
         raise AssertionError("dual Coxeter number came out non-integral")
     return RootSystemData(
@@ -306,7 +337,8 @@ def fundamental_group(d: DynkinDiagram, dual: bool = False) -> tuple[FinAbGroup,
     (6,)
     """
     c = cartan_matrix(d)
-    return intmat.cokernel(intmat.transpose(c) if dual else c)
+    # a simply-laced Cartan matrix is symmetric: its transpose is itself
+    return intmat.cokernel(intmat.transpose(c) if dual and not d.simply_laced else c)
 
 
 def simple_reflection(cartan, i: int) -> Matrix:
@@ -382,17 +414,18 @@ class FoldingDatum(FrozenRecord):
         expected = {"trivial": (), "C2": ("s",), "S3": ("s", "t")}[symmetry]
         if tuple(sorted(generators)) != tuple(sorted(expected)):
             raise ValueError("generator labels do not match symmetry group")
-        c = cartan_matrix(gamma_hat)
+        # a permutation that maps each nonzero off-diagonal Cartan entry to
+        # an equal one also maps the zeros to zeros
+        entries = _off_diagonal(gamma_hat)
         n = gamma_hat.rank
         for label, perm in generators.items():
             if sorted(perm) != list(range(n)):
                 raise ValueError(f"generator {label} is not a permutation")
-            for i in range(n):
-                for j in range(n):
-                    if c[perm[i]][perm[j]] != c[i][j]:
-                        raise ValueError(
-                            f"generator {label} is not a diagram automorphism"
-                        )
+            for (i, j), x in entries.items():
+                if entries.get((perm[i], perm[j])) != x:
+                    raise ValueError(
+                        f"generator {label} is not a diagram automorphism"
+                    )
         ident = tuple(range(n))
         if "s" in generators:
             s = generators["s"]
@@ -496,10 +529,12 @@ def folding(d: DynkinDiagram) -> FoldingDatum:
 
 
 def _permutation_matrix(perm: tuple[int, ...]) -> Matrix:
+    # entry (i, j) is 1 where perm[j] == i
     n = len(perm)
-    return intmat.freeze(
-        [[1 if perm[j] == i else 0 for j in range(n)] for i in range(n)]
-    )
+    rows = [[0] * n for _ in range(n)]
+    for j, i in enumerate(perm):
+        rows[i][j] = 1
+    return tuple(map(tuple, rows))
 
 
 def symmetry_action_on_fundamental_group(f: FoldingDatum):

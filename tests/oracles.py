@@ -4,8 +4,9 @@ Everything here recomputes expectations from first principles, by
 routes deliberately different from the package's own algorithms:
 Fraction-based linear algebra for lattice membership and coset
 enumeration (no Smith reduction), closed-form root system numerology,
-a dense reflection closure for root systems (no carried pairings), and
-a submodule-lattice walk for composition factors (no character
+a dense reflection closure for root systems (no carried pairings), a
+dense Smith reduction that carries its transforms (no operation log),
+and a submodule-lattice walk for composition factors (no character
 theory).  Values frozen in the tests were produced by these functions.
 """
 
@@ -89,6 +90,139 @@ def coset_action(m, g, reps) -> list[int]:
         gx = tuple(sum(g[i][j] * r[j] for j in range(n)) for i in range(n))
         out.append(locate(gx))
     return out
+
+
+# --------------------------------------------------- dense Smith reduction
+
+class _DenseReduction:
+    """Smith reduction state on dense rows: u m v == a and uinv == u^-1.
+
+    The same pivot rule as intmat: row-major order, least magnitude,
+    stopping at the first unit.  Every elementary operation is applied
+    to a and to the transforms at once.
+    """
+
+    def __init__(self, m):
+        self.a = [list(row) for row in m]
+        self.rows, self.cols = len(m), len(m[0])
+        self.u = [[int(i == j) for j in range(self.rows)] for i in range(self.rows)]
+        self.uinv = [list(row) for row in self.u]
+        self.v = [[int(i == j) for j in range(self.cols)] for i in range(self.cols)]
+
+    def row_swap(self, i, j):
+        self.a[i], self.a[j] = self.a[j], self.a[i]
+        self.u[i], self.u[j] = self.u[j], self.u[i]
+        for r in self.uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def row_negate(self, i):
+        self.a[i] = [-x for x in self.a[i]]
+        self.u[i] = [-x for x in self.u[i]]
+        for r in self.uinv:
+            r[i] = -r[i]
+
+    def row_addmul(self, i, j, q):
+        """row i += q * row j."""
+        self.a[i] = [x + q * y for x, y in zip(self.a[i], self.a[j])]
+        self.u[i] = [x + q * y for x, y in zip(self.u[i], self.u[j])]
+        for r in self.uinv:
+            r[j] -= q * r[i]
+
+    def col_swap(self, i, j):
+        for r in self.a + self.v:
+            r[i], r[j] = r[j], r[i]
+
+    def col_addmul(self, j, k, q):
+        """col j += q * col k."""
+        for r in self.a + self.v:
+            r[j] += q * r[k]
+
+
+def _dense_smallest(a, s):
+    best, best_abs = None, 0
+    for i in range(s, len(a)):
+        for j in range(s, len(a[0])):
+            e = a[i][j]
+            if e and (best is None or abs(e) < best_abs):
+                best, best_abs = (i, j), abs(e)
+                if best_abs == 1:
+                    return best
+    return best
+
+
+def dense_reduction(m) -> _DenseReduction:
+    """Smith reduction of m with u, u^-1 and v carried in full."""
+    st = _DenseReduction(m)
+    a, rows, cols = st.a, st.rows, st.cols
+    for s in range(min(rows, cols)):
+        pos = _dense_smallest(a, s)
+        if pos is None:
+            break
+        st.row_swap(s, pos[0])
+        st.col_swap(s, pos[1])
+        while True:
+            if a[s][s] < 0:
+                st.row_negate(s)
+            dirty = False
+            for i in range(s + 1, rows):
+                if a[i][s] and a[i][s] // a[s][s]:
+                    st.row_addmul(i, s, -(a[i][s] // a[s][s]))
+                dirty = dirty or a[i][s] != 0
+            for j in range(s + 1, cols):
+                if a[s][j] and a[s][j] // a[s][s]:
+                    st.col_addmul(j, s, -(a[s][j] // a[s][s]))
+                dirty = dirty or a[s][j] != 0
+            if dirty:
+                pos = _dense_smallest(a, s)
+                st.row_swap(s, pos[0])
+                st.col_swap(s, pos[1])
+                continue
+            if a[s][s] == 1:
+                break
+            witness = next((i for i in range(s + 1, rows)
+                            if any(x % a[s][s] for x in a[i][s + 1:])), None)
+            if witness is None:
+                break
+            st.row_addmul(s, witness, 1)
+    return st
+
+
+def _effective_diagonal(st):
+    return [st.a[i][i] if i < min(st.rows, st.cols) else 0 for i in range(st.rows)]
+
+
+def dense_cokernel(st):
+    """(divisors, free rank, projection) of a dense_reduction, as
+    intmat.cokernel reports them."""
+    eff = _effective_diagonal(st)
+    tor = [i for i, d in enumerate(eff) if d >= 2]
+    free = [i for i, d in enumerate(eff) if d == 0]
+    proj = tuple(tuple(st.u[i][k] % eff[i] for i in tor) + tuple(st.u[i][k] for i in free)
+                 for k in range(st.rows))
+    return tuple(eff[i] for i in tor), len(free), proj
+
+
+def dense_induced(st, g):
+    """intmat.induced_endomorphism from the rows of h = u g u^-1 of a
+    dense_reduction, or the LatticeError message for the first
+    coordinate it checks that fails."""
+    eff = _effective_diagonal(st)
+    n = st.rows
+    # rows with eff[i] == 1 pass the lattice check whatever they hold
+    read = [i for i in range(n) if eff[i] != 1]
+
+    def times(row, mat):
+        return [sum(x * mat[k][j] for k, x in enumerate(row) if x) for j in range(n)]
+
+    h = {i: times(times(st.u[i], g), st.uinv) for i in read}
+    for j in range(n):
+        for i in read:
+            val = eff[j] * h[i][j]
+            if eff[j] and ((val != 0) if eff[i] == 0 else (val % eff[i] != 0)):
+                return ("endomorphism does not preserve image lattice "
+                        f"(coordinate ({i}, {j}))")
+    tor = [i for i, d in enumerate(eff) if d >= 2]
+    return tuple(tuple(h[i][j] % eff[i] for j in tor) for i in tor)
 
 
 # -------------------------------------------------------------- root counts

@@ -185,9 +185,10 @@ def test_one_smith_form_per_request(capsys, monkeypatch, argv):
 ])
 def test_one_folding_and_smith_form_per_subregular_request(capsys, monkeypatch, argv):
     # the folding is built once and its symmetry action's group is the
-    # link torsion, so the unfolding's Cartan matrix is reduced once
-    reductions, foldings = [], []
-    reduce, fold = intmat.cokernel, rootsys.folding
+    # link torsion, so the unfolding's Cartan matrix is reduced once; the
+    # folding checks its automorphisms without building that matrix
+    reductions, foldings, cartans = [], [], []
+    reduce, fold, cartan = intmat.cokernel, rootsys.folding, rootsys.cartan_matrix
 
     def counted_reduce(m):
         reductions.append(len(m))
@@ -197,13 +198,20 @@ def test_one_folding_and_smith_form_per_subregular_request(capsys, monkeypatch, 
         foldings.append(d)
         return fold(d)
 
+    def counted_cartan(d):
+        cartans.append(d)
+        return cartan(d)
+
     monkeypatch.setattr(intmat, "cokernel", counted_reduce)
     for module in (rootsys, perverse, tables):
         monkeypatch.setattr(module, "folding", counted_fold)
+    for module in (rootsys, perverse):
+        monkeypatch.setattr(module, "cartan_matrix", counted_cartan)
     code, _, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert len(reductions) == 1
     assert len(foldings) == 1
+    assert len(cartans) == 1
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -253,17 +261,18 @@ def test_rank_ceilings(capsys, command):
 
 def test_over_long_integer_arguments_are_named_by_length(capsys):
     huge = "1" + "0" * 5000
+    out_of_range = f"rank out of range (at most {RANK_CEILINGS['simple']})"
     cases = [
         (["--rank", "2", "--ell", huge],
          "argument --ell: must be a prime below 2**64, got a 5001-digit integer"),
         (["--rank", "2", "--ell", "x" * 5000],
          "argument --ell: a 5000-character argument is not an integer"),
         (["--rank", huge],
-         "argument --rank: rank out of range (at most 800), got a 5001-digit integer"),
+         f"argument --rank: {out_of_range}, got a 5001-digit integer"),
         (["--rank", "-" + huge],
-         "argument --rank: rank out of range (at most 800), got a 5001-digit integer"),
+         f"argument --rank: {out_of_range}, got a 5001-digit integer"),
         (["--rank", "9" * 21],
-         "argument --rank: rank out of range (at most 800), got a 21-digit integer"),
+         f"argument --rank: {out_of_range}, got a 21-digit integer"),
         (["--rank", "y" * 21], "argument --rank: invalid int value: a 21-character argument"),
         (["--rank", "y"], "argument --rank: invalid int value: 'y'"),
     ]

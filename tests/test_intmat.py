@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from decnum import rootsys
 from decnum.intmat import (
     PRIME_BOUND,
     FinAbGroup,
@@ -182,6 +183,61 @@ def test_induced_matches_dense_conjugate():
                 induced_endomorphism(m, g)
         else:
             assert induced_endomorphism(m, g) == want, (m, g)
+
+
+def _matches_dense_reference(m, endomorphisms):
+    st = oracles.dense_reduction(m)
+    r = smith_normal_form(m)
+    assert (r.u, r.d, r.v) == tuple(tuple(map(tuple, x)) for x in (st.u, st.a, st.v)), m
+    group, proj = cokernel(m)
+    assert (group.divisors, group.free_rank, proj) == oracles.dense_cokernel(st), m
+    refused = 0
+    for g in endomorphisms:
+        want = oracles.dense_induced(st, g)
+        if isinstance(want, str):
+            with pytest.raises(LatticeError) as e:
+                induced_endomorphism(m, g)
+            assert str(e.value) == want, (m, g)
+            refused += 1
+        else:
+            assert induced_endomorphism(m, g) == want, (m, g)
+    return refused
+
+
+def test_sparse_reduction_matches_dense_reference():
+    """The logged sparse reduction gives the dense one's transforms,
+    projections, induced matrices and LatticeError coordinates."""
+    rng = random.Random(4406)
+    refused = 0
+    for k in range(600):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = random_matrix(rng, rows, cols, rng.choice((1, 3, 12)))
+        if k % 4 == 0 and rows > 1:
+            m[-1] = [3 * x for x in m[0]]  # singular
+        coeffs = [rng.randint(-2, 2) for _ in range(cols)]
+        lat = [sum(x * c for x, c in zip(row, coeffs)) for row in m]
+        endomorphisms = [
+            random_matrix(rng, rows, rows, 3),
+            identity(rows),
+            [[int(i == j) + lat[i] * rng.randint(-2, 2) for j in range(rows)]
+             for i in range(rows)],
+        ]
+        refused += _matches_dense_reference(m, endomorphisms)
+    assert refused > 300
+    diagrams = [rootsys.DynkinDiagram(s, n) for s in "ABCD"
+                for n in range(rootsys.SERIES_MIN_RANK[s], 41)]
+    diagrams += [rootsys.DynkinDiagram(s, n) for s, n in sorted(rootsys.EXCEPTIONAL)]
+    for d in diagrams:
+        c = rootsys.cartan_matrix(d)
+        _matches_dense_reference(c, [identity(d.rank), rootsys.simple_reflection(c, 0)])
+    foldings = [rootsys.DynkinDiagram(s, n) for s in "BC" for n in range(2, 30)]
+    foldings += [rootsys.DynkinDiagram("F", 4), rootsys.DynkinDiagram("G", 2)]
+    for d in foldings:
+        f = rootsys.folding(d)
+        _matches_dense_reference(
+            rootsys.cartan_matrix(f.gamma_hat),
+            [rootsys._permutation_matrix(p) for p in f.elements().values()],
+        )
 
 
 def test_determinant_bareiss():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -215,16 +216,87 @@ def test_generate_roots_rejects_bad_input():
         generate_roots([[2, -1], [0, 2]])
     with pytest.raises(ValueError, match="not connected"):
         generate_roots([[2, 0], [0, 2]])
-    # affine (A1~, A11~) and indefinite matrices: reflections never close up
-    with pytest.raises(ValueError, match="safety bound of 240 roots for rank 2"):
-        generate_roots([[2, -2], [-2, 2]])
-    with pytest.raises(ValueError, match="safety bound of 240 roots for rank 3"):
-        generate_roots([[2, -2, 0], [-2, 2, -1], [0, -1, 2]])
-    with pytest.raises(ValueError, match="safety bound of 288 roots for rank 12"):
-        generate_roots(
-            [[2 if i == j else -1 if abs(i - j) == 1 or {i, j} == {0, 11} else 0
-              for j in range(12)] for i in range(12)]
-        )
+    # affine, hyperbolic and indefinite matrices: reflections never close
+    # up, and each is refused with the closure's bound message, even where
+    # the packed closure stops at the first coefficient above 6
+    a11_affine = [[2 if i == j else -1 if abs(i - j) == 1 or {i, j} == {0, 11} else 0
+                   for j in range(12)] for i in range(12)]
+    for c in (
+        [[2, -3], [-3, 2]],                     # hyperbolic
+        [[2, -2], [-2, 2]],                     # A1~
+        [[2, -4], [-1, 2]],                     # A2~ twisted
+        [[2, -1, 0], [-3, 2, -1], [0, -1, 2]],  # G2~
+        [[2, -2, 0], [-2, 2, -1], [0, -1, 2]],  # indefinite
+        [[2, -300], [-1, 2]],                   # the first raise overflows a byte
+        a11_affine,
+    ):
+        with pytest.raises(ValueError) as e:
+            generate_roots(c)
+        assert str(e.value) == _bound_message(len(c)), c
+
+
+def _bound_message(n):
+    bound = max(240, 2 * n * n)
+    return (f"reflection closure exceeded the safety bound of {bound} roots "
+            f"for rank {n}; not a finite type")
+
+
+def _random_connected_gcm(rng, n):
+    # a random spanning tree keeps the diagram connected; extra edges may
+    # close cycles, which only an infinite type has
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    edges = [(rng.randrange(j), j) for j in range(1, n)]
+    edges += [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2]
+    for i, j in edges:
+        c[i][j] = -rng.choice((1, 1, 1, 2, 3, 4))
+        c[j][i] = -rng.choice((1, 1, 1, 2, 3))
+    return c
+
+
+def _finite_type(c):
+    # a connected generalized Cartan matrix is of finite type iff it is
+    # symmetrizable and its symmetrization is positive definite (Kac,
+    # Infinite dimensional Lie algebras, chapter 4): Gaussian elimination
+    # without pivoting then meets only positive pivots
+    ls = _rational_symmetrizer(c)
+    if isinstance(ls, str):
+        return False
+    n = len(c)
+    b = [[Fraction(c[i][j] * ls[j]) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if b[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = b[i][k] / b[k][k]
+            b[i] = [x - f * y for x, y in zip(b[i], b[k])]
+    return True
+
+
+def test_generate_roots_matches_reference_on_random_matrices():
+    """Finite types agree with the dense closure; every other generalized
+    Cartan matrix is refused with the closure's bound message, although
+    the packed closure stops at the first coefficient above 6."""
+    rng = random.Random(7070)
+    answered = 0
+    for _ in range(400):
+        c = _random_connected_gcm(rng, rng.randint(2, 5))
+        if _finite_type(c):
+            rs = generate_roots(c)
+            want = oracles.reference_root_system(c)
+            assert (rs.roots, rs.lengths, rs.highest_root, rs.dual_coxeter) == want, c
+            answered += 1
+        else:
+            with pytest.raises(ValueError) as e:
+                generate_roots(c)
+            assert str(e.value) == _bound_message(len(c)), c
+    assert 50 < answered < 350
+
+
+def test_dual_fundamental_group_is_the_cokernel_of_the_transpose():
+    # simply-laced types reduce their symmetric Cartan matrix itself
+    for d in ALL_DIAGRAMS_RANK_LE_8 + LARGE_DIAGRAMS:
+        want = intmat.cokernel(intmat.transpose(cartan_matrix(d)))
+        assert fundamental_group(d, dual=True) == want, d
 
 
 FUNDAMENTAL = {
