@@ -33,7 +33,7 @@ def freeze(m: Sequence[Sequence[int]]) -> Matrix:
     >>> freeze([[1, 2], [3, 4]])
     ((1, 2), (3, 4))
     """
-    rows = tuple(map(tuple, m))
+    rows = tuple([tuple(row) for row in m])
     if not rows or not rows[0]:
         raise ValueError("matrix must have at least one row and one column")
     width = len(rows[0])
@@ -429,15 +429,16 @@ def cokernel(m: Sequence[Sequence[int]]) -> tuple[FinAbGroup, Matrix]:
     eff = _effective_diagonal(a)
     torsion_idx = [i for i, d in enumerate(eff) if d >= 2]
     free_idx = [i for i, d in enumerate(eff) if d == 0]
-    group = FinAbGroup(tuple(eff[i] for i in torsion_idx), len(free_idx))
-    # only the rows of u with eff != 1 are read
+    group = FinAbGroup(tuple([eff[i] for i in torsion_idx]), len(free_idx))
+    # only the rows of u with eff != 1 are read.  Tuples come from lists:
+    # tuple(generator) resizes a guess, which fills CPython's tuple free lists
     rowlog.reverse()
     u = {i: _replay(rowlog, _unit(rows, i)) for i in torsion_idx + free_idx}
-    proj = tuple(
-        tuple(u[i][k] % eff[i] for i in torsion_idx)
-        + tuple(u[i][k] for i in free_idx)
+    proj = tuple([
+        tuple([u[i][k] % eff[i] for i in torsion_idx])
+        + tuple([u[i][k] for i in free_idx])
         for k in range(rows)
-    )
+    ])
     return group, proj
 
 

@@ -131,11 +131,27 @@ ALL_DIAGRAMS_RANK_LE_8 = tuple(
 )
 
 
-class RootSystemData(FrozenRecord):
+class _PackedRoots(FrozenRecord):
+    # not a field: Record reads fields from the subclass's own __slots__
+    __slots__ = ("_packed",)
+
+    def __getattr__(self, name):
+        # only for an unset slot: the first read of roots or lengths decodes both
+        if name not in ("roots", "lengths"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        roots, lengths = _decode_roots(*self._packed)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "lengths", lengths)
+        object.__delattr__(self, "_packed")
+        return roots if name == "roots" else lengths
+
+
+class RootSystemData(_PackedRoots):
     """Roots in simple-root coordinates plus derived numerology.
 
     roots are sorted lexicographically;  lengths[i] is "long" or "short"
     for roots[i] (every root of a simply-laced system counts as long).
+    generate_roots leaves these two to be decoded once, on first read.
     """
 
     __slots__ = ("cartan", "roots", "lengths", "highest_root", "dual_coxeter")
@@ -153,6 +169,27 @@ class RootSystemData(FrozenRecord):
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "highest_root", highest_root)
         object.__setattr__(self, "dual_coxeter", dual_coxeter)
+
+
+# byte b to (-b) mod 256
+_NEGATED = bytes(-b & 255 for b in range(256))
+
+
+def _decode_roots(origin: dict[int, int], n: int, ls: tuple[int, ...]):
+    """roots and lengths from origin (packed positive root to its simple
+    root) and the symmetrizer ls.  The negative roots are the negated
+    positive ones, in the reverse order of their negations."""
+    packed = sorted(origin)
+    chunks = [v.to_bytes(n, "big") for v in packed]
+    positive = tuple(iter_unpack(f"{n}B", b"".join(chunks)))
+    chunks.reverse()
+    # a negated byte read back as a signed one is the negated coordinate
+    roots = tuple(iter_unpack(f"{n}b", b"".join(chunks).translate(_NEGATED))) + positive
+    # (v, v) up to the common factor 1/2 is sum_ij v_i v_j C[i][j] L[j],
+    # which is 2 L[i] on the simple root a_i
+    top = max(ls)
+    upper = tuple("long" if ls[origin[v]] == top else "short" for v in packed)
+    return roots, upper[::-1] + upper
 
 
 def _validate_cartan(c: Matrix) -> None:
@@ -201,12 +238,8 @@ def _symmetrizer(c: Matrix, row_support) -> tuple[int, ...]:
                     raise ValueError("Cartan matrix is not symmetrizable")
     if any(v is None for v in vals):
         raise ValueError("Cartan matrix is not connected")
-    scale = lcm(*(q for _, q in vals))
-    return tuple(p * (scale // q) for p, q in vals)
-
-
-# byte b to (-b) mod 256
-_NEGATED = bytes(-b & 255 for b in range(256))
+    scale = lcm(*[q for _, q in vals])
+    return tuple([p * (scale // q) for p, q in vals])
 
 
 def generate_roots(cartan) -> RootSystemData:
@@ -232,9 +265,11 @@ def generate_roots(cartan) -> RootSystemData:
     that would need one means an infinite Weyl group, whose closure
     never ends; it is refused at once with the error the closure gives
     once the roots number more than max(240, 2 n^2), the most any
-    finite type of rank n has.  The negative roots are the negated
-    positive ones: they sort before every positive root, in the
-    reverse order of their negations.
+    finite type of rank n has.
+
+    Every check runs in the call.  The record keeps the packed positive
+    roots with their origins and decodes roots and lengths once, on
+    first read.
 
     >>> rs = generate_roots(cartan_matrix(DynkinDiagram("A", 2)))
     >>> (len(rs.roots), rs.dual_coxeter, rs.highest_root)
@@ -289,39 +324,26 @@ def generate_roots(cartan) -> RootSystemData:
                 nxt.append((w, q))
         frontier = nxt
 
-    packed = sorted(origin)
-    chunks = [v.to_bytes(n, "big") for v in packed]
-    positive = tuple(iter_unpack(f"{n}B", b"".join(chunks)))
-    chunks.reverse()
-    # a negated byte read back as a signed one is the negated coordinate
-    roots = tuple(iter_unpack(f"{n}b", b"".join(chunks).translate(_NEGATED))) + positive
     ls = _symmetrizer(c, row_support)
-    # (v, v) up to the common factor 1/2 is sum_ij v_i v_j C[i][j] L[j],
-    # which is 2 L[i] on the simple root a_i
-    top = max(ls)
-    upper = tuple("long" if ls[origin[v]] == top else "short" for v in packed)
-    lengths = upper[::-1] + upper
-
-    # the highest root dominates every root, so it is also the last one;
+    # the highest root dominates every root, so it is also the largest;
     # every negative root lies below 0, so checking the positive ones
-    # suffices.  With a guard bit over each coordinate byte, packed[-1]
-    # minus v keeps every guard bit exactly when no coordinate of v is larger
-    highest = positive[-1]
+    # suffices.  With a guard bit over each coordinate byte, top minus v
+    # keeps every guard bit exactly when no coordinate of v is larger
+    top = max(origin)
     guard = int.from_bytes(b"\x80" * n, "big")
-    guarded = packed[-1] | guard
-    if any(guarded - v & guard != guard for v in packed):
+    guarded = top | guard
+    if any(guarded - v & guard != guard for v in origin):
         raise AssertionError("highest root fails to dominate")
+    highest = tuple(top.to_bytes(n, "big"))
     # h^vee = 1 + sum_i highest[i] (a_i, a_i) / (theta, theta)
-    weight, rest = divmod(sum(h * l for h, l in zip(highest, ls)), ls[origin[packed[-1]]])
+    weight, rest = divmod(sum(h * l for h, l in zip(highest, ls)), ls[origin[top]])
     if rest:
         raise AssertionError("dual Coxeter number came out non-integral")
-    return RootSystemData(
-        cartan=c,
-        roots=roots,
-        lengths=lengths,
-        highest_root=highest,
-        dual_coxeter=1 + weight,
-    )
+    rs = RootSystemData.__new__(RootSystemData)
+    for name, value in (("cartan", c), ("highest_root", highest),
+                        ("dual_coxeter", 1 + weight), ("_packed", (origin, n, ls))):
+        object.__setattr__(rs, name, value)
+    return rs
 
 
 def root_system(d: DynkinDiagram) -> RootSystemData:
@@ -389,14 +411,31 @@ def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[p[i]] for i in range(len(p)))
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change after construction, so it hashes."""
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("folding generators are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.items()))
+
+    def __reduce__(self):
+        return self.__class__, (dict(self),)
+
+
 class FoldingDatum(FrozenRecord):
     """A diagram, its simply-laced unfolding, and the folding symmetry.
 
-    generators maps generator labels to node permutations of gamma_hat
-    (perm[i] is the image of node i, 0-based).  Labels are "s" for the
-    order-2 generator and additionally "t" (order 3) when the symmetry
-    group is S3.  quotient_groups names the finite subgroup pair (H in
-    H-hat) whose quotient surface realizes the singularity; it is purely
+    generators, a read-only copy of the argument (so a folding hashes),
+    maps generator labels to node permutations of gamma_hat (perm[i] is
+    the image of node i, 0-based).  Labels are "s" for the order-2
+    generator and additionally "t" (order 3) when the symmetry group is
+    S3.  quotient_groups names the finite subgroup pair (H in H-hat)
+    whose quotient surface realizes the singularity; it is purely
     documentary.
     """
 
@@ -442,7 +481,7 @@ class FoldingDatum(FrozenRecord):
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_hat", gamma_hat)
         object.__setattr__(self, "symmetry", symmetry)
-        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "generators", _ReadOnlyDict(generators))
         object.__setattr__(self, "quotient_groups", quotient_groups)
 
     def symmetry_order(self) -> int:

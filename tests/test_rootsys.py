@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from decnum import intmat, rootsys
+from decnum import intmat, rootsys, tables
+from decnum.perverse import link_cohomology_minimal
 from decnum.rootsys import (
     ALL_DIAGRAMS_RANK_LE_8,
     EXCEPTIONAL,
     SERIES_MIN_RANK,
     DynkinDiagram,
     FoldingDatum,
+    RootSystemData,
     cartan_matrix,
     folding,
     fundamental_group,
@@ -292,6 +296,103 @@ def test_generate_roots_matches_reference_on_random_matrices():
     assert 50 < answered < 350
 
 
+def _decoded(rs):
+    # reads the roots slot itself, so an unset one is not decoded here
+    try:
+        RootSystemData.roots.__get__(rs)
+    except AttributeError:
+        return False
+    return True
+
+
+FIELDS = ("cartan", "roots", "lengths", "highest_root", "dual_coxeter")
+RECORD_OPS = (
+    [("repr", repr), ("hash", hash), ("copy", copy.copy), ("deepcopy", copy.deepcopy)]
+    + [(f"pickle {p}", lambda rs, p=p: pickle.loads(pickle.dumps(rs, p)))
+       for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+)
+
+
+def test_deferred_record_behaves_like_a_constructed_one():
+    diagrams = list(ALL_DIAGRAMS_RANK_LE_8) + [DynkinDiagram("B", 23), DynkinDiagram("A", 32)]
+    for d in diagrams:
+        for c in (cartan_matrix(d), intmat.transpose(cartan_matrix(d))):
+            done = generate_roots(c)
+            built = RootSystemData(*(getattr(done, f) for f in FIELDS))
+            for name, op in RECORD_OPS:
+                fresh = generate_roots(c)
+                assert not _decoded(fresh)
+                for _ in range(2):  # before the first read of roots, then after
+                    got, want = op(fresh), op(built)
+                    if name == "repr" or name == "hash":
+                        assert got == want, (d, name)
+                    else:
+                        assert type(got) is RootSystemData and got is not fresh
+                        assert repr(got) == repr(built) and got == built, (d, name)
+                    assert _decoded(fresh)
+            fresh = generate_roots(c)
+            assert fresh == built and built == generate_roots(c) and not fresh != built
+            fresh = generate_roots(c)
+            for _ in range(2):
+                for field in FIELDS:
+                    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+                        setattr(fresh, field, None)
+                    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+                        delattr(fresh, field)
+                for name in ("extra", "_packed"):
+                    with pytest.raises(AttributeError):
+                        setattr(fresh, name, 1)
+                assert not hasattr(fresh, "extra")
+                assert fresh.roots == built.roots and fresh.lengths == built.lengths
+                assert _decoded(fresh) and repr(fresh) == repr(built)
+
+
+def test_generate_roots_refuses_in_the_call():
+    # the record defers only decoding: every check still runs in the call
+    bound = _bound_message(2)
+    cases = [
+        ([[2, -1, 0], [-1, 2, -1]], "Cartan matrix must be square"),
+        ([[2, -1], [-1]], "ragged matrix"),
+        ([[]], "matrix must have at least one row and one column"),
+        ([[2, -1.0], [-1, 2]], "non-integer entry -1.0"),
+        ([[2, True], [-1, 2]], "non-integer entry True"),
+        ([[1, -1], [-1, 2]], "Cartan diagonal must be 2"),
+        ([[2, 1], [1, 2]], "positive off-diagonal Cartan entry"),
+        ([[2, -1], [0, 2]], "asymmetric Cartan zero pattern"),
+        ([[2, 0], [0, 2]], "Cartan matrix is not connected"),
+        ([[2, -1, 0], [-1, 2, 0], [0, 0, 2]], "Cartan matrix is not connected"),
+        # a non-symmetrizable cycle has an infinite Weyl group, so the
+        # closure refuses it before the symmetrizer is reached
+        ([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]], _bound_message(3)),
+        ([[2, -7], [-1, 2]], bound),     # a coefficient past 6 at once
+        ([[2, -1], [-7, 2]], bound),
+        ([[2, -2], [-2, 2]], bound),     # A1~: the bound before any such coefficient
+    ]
+    for c, message in cases:
+        with pytest.raises(ValueError) as e:
+            generate_roots(c)
+        assert str(e.value) == message, c
+
+
+def test_minimal_cones_never_decode_roots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("roots decoded")
+
+    monkeypatch.setattr(rootsys, "_decode_roots", refuse)
+    with pytest.raises(AssertionError, match="roots decoded"):
+        root_system(DynkinDiagram("A", 2)).roots
+    # every type of the minimal-sweep benchmark's range, and beyond it
+    diagrams = [DynkinDiagram(s, n) for s, n in sorted(EXCEPTIONAL)] + [
+        DynkinDiagram(s, n) for s, top in (("A", 40), ("B", 29), ("C", 29), ("D", 29))
+        for n in range(SERIES_MIN_RANK[s], top + 1)
+    ]
+    for d in diagrams:
+        cone = link_cohomology_minimal(d)
+        assert cone.open_dim == 2 * oracles.DUAL_COXETER[d.series](d.rank) - 2, d
+        assert tables.minimal_answer(d, (2, 3))[0] == cone
+    assert len(tables.paper_tables()["minimal"]) == len(tables.minimal_grid())
+
+
 def test_dual_fundamental_group_is_the_cokernel_of_the_transpose():
     # simply-laced types reduce their symmetric Cartan matrix itself
     for d in ALL_DIAGRAMS_RANK_LE_8 + LARGE_DIAGRAMS:
@@ -409,6 +510,38 @@ def test_folding_datum_validation():
         FoldingDatum(
             d4, d4, "S3", {"s": (0, 1, 3, 2), "t": (0, 1, 3, 2)}
         )
+
+
+def test_folding_generators_are_read_only():
+    f = folding(DynkinDiagram("G", 2))
+    gens = f.generators
+    changes = [
+        lambda g: g.__setitem__("s", (0, 1, 2, 3)),
+        lambda g: g.__delitem__("s"),
+        lambda g: g.update(s=(0, 1, 2, 3)),
+        lambda g: g.pop("s"),
+        lambda g: g.popitem(),
+        lambda g: g.clear(),
+        lambda g: g.setdefault("u", ()),
+        lambda g: g.__ior__({"u": ()}),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="read-only"):
+            change(gens)
+    assert gens == {"s": (0, 1, 3, 2), "t": (2, 1, 3, 0)}
+    # the caller's dict is copied, so changing it later changes nothing
+    c2 = folding(DynkinDiagram("C", 2))
+    s = {"s": (2, 1, 0)}
+    g = FoldingDatum(c2.gamma, c2.gamma_hat, "C2", s, c2.quotient_groups)
+    s["s"] = (0, 1, 2)
+    assert g.generators == {"s": (2, 1, 0)} and repr(g.generators) == "{'s': (2, 1, 0)}"
+    assert g == c2 and hash(g) == hash(c2)
+    assert len({folding(d) for d in ALL_DIAGRAMS_RANK_LE_8}) == len(ALL_DIAGRAMS_RANK_LE_8)
+    for p in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(gens, p))
+        assert back == gens and hash(back) == hash(gens)
+        with pytest.raises(TypeError, match="read-only"):
+            back["s"] = ()
 
 
 def test_folding_elements_multiplication_table():
