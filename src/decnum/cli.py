@@ -16,6 +16,7 @@ type/rank, a rank above the command's ceiling in RANK_CEILINGS).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
@@ -366,7 +367,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early: stdout is written only on the
+        # answer path, so end silently; devnull takes the exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

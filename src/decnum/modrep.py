@@ -32,6 +32,21 @@ _KIND = {gens: kind for kind, (gens, _) in GROUPS.items()}
 CHARACTER_DIMS = {"1": 1, "eps": 1, "psi": 2}
 
 
+def group_elements(kind: str, gens: dict, unit, compose) -> dict:
+    """Every element of the group kind, keyed by its word in GROUPS.
+
+    A word's value is compose folded over its letters' values from the
+    left; "e" is unit.
+    """
+    out = {"e": unit}
+    for word in GROUPS[kind][1][1:]:
+        value = gens[word[0]]
+        for label in word[1:]:
+            value = compose(value, gens[label])
+        out[word] = value
+    return out
+
+
 def _mod_entrywise(m: Matrix, mods: tuple[int, ...]) -> Matrix:
     return tuple(
         tuple(e % mods[i] for e in row) for i, row in enumerate(m)
@@ -138,13 +153,8 @@ class ModularRep(_GroupAction):
 
     def elements(self) -> dict[str, Matrix]:
         """All group element matrices, keyed by word in the generators."""
-        out = {"e": identity(self.dim)}
-        for word in GROUPS[self.kind][1][1:]:
-            m = self.action[word[0]]
-            for label in word[1:]:
-                m = self._reduce(multiply(m, self.action[label]))
-            out[word] = m
-        return out
+        return group_elements(self.kind, self.action, identity(self.dim),
+                              lambda a, b: self._reduce(multiply(a, b)))
 
 
 def modp_rank(m: Matrix, p: int) -> int:

@@ -5,7 +5,9 @@ with smooth part U of real dimension 2d carries the cohomology of U
 ("the link data") in a band of degrees, and every question answered
 here (six flavors of extension stalks, their field-coefficient
 variants, decomposition numbers, symmetry refinements) is a function of
-that band.
+that band.  The simple and the subregular (folded) surface cones share
+one link, H^0 = O, H^2 = P/Q of the simply-laced unfolding, H^3 = O,
+and one builder; a folded cone only attaches its symmetry's action on H^2.
 
 Two conventions are load-bearing:
 
@@ -47,7 +49,7 @@ from .rootsys import (
     symmetry_action_on_fundamental_group,
 )
 from . import intmat
-from .intmat import FrozenRecord, Record
+from .intmat import FinAbGroup, FrozenRecord, Record
 
 
 class ConeError(ValueError):
@@ -70,12 +72,7 @@ class LinkEntry(FrozenRecord):
                 raise ValueError("unknown-rank entries must be torsion-free")
         elif not isinstance(rank, int) or rank < 0:
             raise ValueError(f"invalid rank {rank!r}")
-        for t in torsion:
-            if not isinstance(t, int) or t < 2:
-                raise ValueError(f"invalid invariant factor {t!r}")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisor chain")
+        FinAbGroup(torsion)  # the invariant-factor checks
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "torsion", torsion)
 
@@ -199,42 +196,16 @@ def _require(entry: LinkEntry | None, what: str) -> LinkEntry:
     return entry
 
 
-def link_cohomology_simple(
-    hat: DynkinDiagram,
-    folding_source: FoldingDatum | None = None,
-    label: str | None = None,
-) -> ConeData:
-    """Full link data of the surface cone attached to a simply-laced type.
+def _surface_cone(label: str, group: FinAbGroup,
+                  equivariant: dict[int, EquivariantAbGroup] | None = None) -> ConeData:
+    """Full link data of a surface cone whose weight/root lattice
+    comparison map has cokernel group.
 
     Built by the compactly-supported route: the resolved space retracts
-    to the exceptional locus, the weight/root lattice comparison map is
-    the transposed Cartan matrix (the Cartan matrix itself, as a
-    simply-laced one is symmetric), and Poincare duality on the real
-    4-dimensional link converts the answer to ordinary cohomology.  The
-    result always lands as H^0 = O, H^2 = weight mod root torsion,
-    H^3 = O.  With folding_source the symmetry action on H^2 is
-    attached, and its group is the H^2 torsion, so one Smith reduction
-    serves both.
-
-    >>> c = link_cohomology_simple(DynkinDiagram("A", 1))
-    >>> [(d, e.rank, e.torsion) for d, e in sorted(c.link_cohomology.items())]
-    [(0, 1, ()), (2, 0, (2,)), (3, 1, ())]
+    to the exceptional locus, and Poincare duality on the real
+    4-dimensional link converts its cohomology to ordinary cohomology.
+    The result always lands as H^0 = O, H^2 = group, H^3 = O.
     """
-    if not hat.simply_laced:
-        raise ConeError(
-            f"{hat} is not simply laced; fold it first (see subregular_cone)"
-        )
-    equivariant: dict[int, EquivariantAbGroup] = {}
-    if folding_source is not None:
-        if folding_source.gamma_hat != hat:
-            raise ConeError(
-                f"folding of {folding_source.gamma} lands in "
-                f"{folding_source.gamma_hat}, not {hat}"
-            )
-        equivariant[2] = symmetry_action_on_fundamental_group(folding_source)
-        group = equivariant[2].group
-    else:
-        group, _ = intmat.cokernel(cartan_matrix(hat))
     if group.free_rank:
         raise AssertionError("lattice comparison map must be injective")
     hc = GradedOModule(
@@ -244,13 +215,28 @@ def link_cohomology_simple(
         deg: LinkEntry(m.rank, tuple(sorted(m.torsion)))
         for deg, m in poincare_dual(hc, 4).items()
     }
-    return ConeData(
-        label=label or f"simple {hat}",
-        open_dim=2,
-        link_cohomology=link,
-        completeness="full",
-        equivariant_degrees=equivariant,
-    )
+    return ConeData(label, 2, link, "full", equivariant)
+
+
+def _require_simply_laced(hat: DynkinDiagram) -> None:
+    if not hat.simply_laced:
+        raise ConeError(f"{hat} is not simply laced; fold it first (see subregular_cone)")
+
+
+def link_cohomology_simple(hat: DynkinDiagram) -> ConeData:
+    """Full link data of the surface cone attached to a simply-laced type.
+
+    The comparison map is the transposed Cartan matrix (the Cartan
+    matrix itself, as a simply-laced one is symmetric), so H^2 is the
+    weight mod root torsion.
+
+    >>> c = link_cohomology_simple(DynkinDiagram("A", 1))
+    >>> [(d, e.rank, e.torsion) for d, e in sorted(c.link_cohomology.items())]
+    [(0, 1, ()), (2, 0, (2,)), (3, 1, ())]
+    """
+    _require_simply_laced(hat)
+    group, _ = intmat.cokernel(cartan_matrix(hat))
+    return _surface_cone(f"simple {hat}", group)
 
 
 def subregular_cone(
@@ -258,18 +244,19 @@ def subregular_cone(
 ) -> ConeData:
     """The folded surface cone of any type, with its symmetry action.
 
-    For simply-laced gamma the folding is trivial and this is just
-    link_cohomology_simple with a trivial action attached.  A caller
-    that already holds folding(gamma) passes it as folding_source.
+    Its link is that of the simple cone of the unfolding, with the
+    folding symmetry's action on H^2 attached; the action's group is
+    that H^2, so one Smith reduction serves both.  For simply-laced
+    gamma the action is trivial.  A caller that already holds
+    folding(gamma) passes it as folding_source.
     """
     if folding_source is None:
         folding_source = folding(gamma)
     elif folding_source.gamma != gamma:
         raise ConeError(f"folding of {folding_source.gamma} given for {gamma}")
-    return link_cohomology_simple(
-        folding_source.gamma_hat, folding_source=folding_source,
-        label=f"subregular {gamma}",
-    )
+    _require_simply_laced(folding_source.gamma_hat)
+    action = symmetry_action_on_fundamental_group(folding_source)
+    return _surface_cone(f"subregular {gamma}", action.group, {2: action})
 
 
 def link_cohomology_minimal(gamma: DynkinDiagram) -> ConeData:

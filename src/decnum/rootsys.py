@@ -31,6 +31,7 @@ from struct import iter_unpack
 
 from . import intmat
 from .intmat import FinAbGroup, FrozenRecord, Matrix
+from .modrep import GROUPS, EquivariantAbGroup, group_elements
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
@@ -432,11 +433,11 @@ class FoldingDatum(FrozenRecord):
 
     generators, a read-only copy of the argument (so a folding hashes),
     maps generator labels to node permutations of gamma_hat (perm[i] is
-    the image of node i, 0-based).  Labels are "s" for the order-2
-    generator and additionally "t" (order 3) when the symmetry group is
-    S3.  quotient_groups names the finite subgroup pair (H in H-hat)
-    whose quotient surface realizes the singularity; it is purely
-    documentary.
+    the image of node i, 0-based).  The labels are those of the symmetry
+    group in modrep.GROUPS: "s" for the order-2 generator and
+    additionally "t" (order 3) when the group is S3.  quotient_groups
+    names the finite subgroup pair (H in H-hat) whose quotient surface
+    realizes the singularity; it is purely documentary.
     """
 
     __slots__ = ("gamma", "gamma_hat", "symmetry", "generators", "quotient_groups")
@@ -450,8 +451,7 @@ class FoldingDatum(FrozenRecord):
         quotient_groups: tuple[str, str] = ("", ""),
     ) -> None:
         generators = {} if generators is None else generators
-        expected = {"trivial": (), "C2": ("s",), "S3": ("s", "t")}[symmetry]
-        if tuple(sorted(generators)) != tuple(sorted(expected)):
+        if tuple(sorted(generators)) != GROUPS[symmetry][0]:
             raise ValueError("generator labels do not match symmetry group")
         # a permutation that maps each nonzero off-diagonal Cartan entry to
         # an equal one also maps the zeros to zeros
@@ -485,27 +485,17 @@ class FoldingDatum(FrozenRecord):
         object.__setattr__(self, "quotient_groups", quotient_groups)
 
     def symmetry_order(self) -> int:
-        return {"trivial": 1, "C2": 2, "S3": 6}[self.symmetry]
+        return len(GROUPS[self.symmetry][1])
 
     def elements(self) -> dict[str, tuple[int, ...]]:
-        """All group elements as node permutations, keyed by reduced word."""
-        n = self.gamma_hat.rank
-        e = tuple(range(n))
-        if self.symmetry == "trivial":
-            return {"e": e}
-        s = self.generators["s"]
-        if self.symmetry == "C2":
-            return {"e": e, "s": s}
-        t = self.generators["t"]
-        tt = _perm_compose(t, t)
-        return {
-            "e": e,
-            "s": s,
-            "t": t,
-            "tt": tt,
-            "st": _perm_compose(t, s),   # apply t then s
-            "stt": _perm_compose(tt, s),
-        }
+        """All group elements as node permutations, keyed by reduced word.
+
+        A word acts right to left, as its matrix product does: "st"
+        applies t, then s.
+        """
+        return group_elements(self.symmetry, self.generators,
+                              tuple(range(self.gamma_hat.rank)),
+                              lambda p, q: _perm_compose(q, p))
 
 
 def _binary_dihedral(order: int) -> str:
@@ -576,15 +566,12 @@ def _permutation_matrix(perm: tuple[int, ...]) -> Matrix:
     return tuple(map(tuple, rows))
 
 
-def symmetry_action_on_fundamental_group(f: FoldingDatum):
+def symmetry_action_on_fundamental_group(f: FoldingDatum) -> EquivariantAbGroup:
     """Induced action of the folding symmetry on the unfolding's P/Q.
 
-    Returns a modrep.EquivariantAbGroup: the fundamental group of
-    gamma_hat with one induced torsion matrix per generator, transported
-    through intmat.induced_endomorphism.
+    The fundamental group of gamma_hat with one induced torsion matrix
+    per generator, transported through intmat.induced_endomorphism.
     """
-    from .modrep import EquivariantAbGroup
-
     c = cartan_matrix(f.gamma_hat)
     group, _ = intmat.cokernel(c)
     if group.free_rank:

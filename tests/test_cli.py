@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +425,43 @@ def test_wide_window_allows_deep_minimal(capsys, monkeypatch):
     )
     assert code == 0
     assert "ell=7: 0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("tables", "--format", "markdown"),
+    ("simple", "--type", "A", "--rank", "3"),
+])
+def test_closed_pipe_ends_silently(argv):
+    # a reader that stops early (`decnum tables | head`) closes the pipe;
+    # the answer was already computed, so no traceback and exit 0
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "decnum.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def readme_examples():
+    """(argv, lines to keep or None, shown output) per `$ decnum` example."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", readme.read_text(encoding="utf-8"), re.S):
+        for command in re.split(r"^(?=\$ )", block, flags=re.M)[1:]:
+            first, _, shown = command.partition("\n")
+            line, _, head = first[2:].partition(" | head -")
+            examples.append((shlex.split(line)[1:], int(head) if head else None,
+                             shown.rstrip("\n")))
+    return examples
+
+
+def test_readme_examples_match_the_cli(capsys):
+    examples = readme_examples()
+    assert len(examples) == 7
+    for argv, head, shown in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert "\n".join(out.splitlines()[:head]) == shown, argv

@@ -27,7 +27,7 @@ from decnum.perverse import (
     localize_stalk,
     subregular_cone,
 )
-from decnum.rootsys import DynkinDiagram, folding
+from decnum.rootsys import ALL_DIAGRAMS_RANK_LE_8, DynkinDiagram, FoldingDatum, folding
 
 
 def D(name):
@@ -117,8 +117,25 @@ def test_simple_link_frozen():
 def test_simple_link_rejects_folded_types():
     with pytest.raises(ConeError, match="fold it first"):
         link_cohomology_simple(D("B3"))
-    with pytest.raises(ConeError, match="lands in"):
-        link_cohomology_simple(D("A5"), folding_source=folding(D("G2")))
+
+
+def test_subregular_cone_checks_its_folding():
+    with pytest.raises(ConeError, match="folding of G2 given for B3"):
+        subregular_cone(D("B3"), folding(D("G2")))
+    # a hand-built folding whose unfolding is not simply laced
+    with pytest.raises(ConeError, match="B3 is not simply laced; fold it first"):
+        subregular_cone(D("B3"), FoldingDatum(D("B3"), D("B3"), "trivial"))
+
+
+def test_subregular_cone_of_a_simply_laced_type_is_its_simple_cone():
+    for d in ALL_DIAGRAMS_RANK_LE_8:
+        if not d.simply_laced:
+            continue
+        sub, simple = subregular_cone(d), link_cohomology_simple(d)
+        assert sub.link_cohomology == simple.link_cohomology, d
+        assert (sub.open_dim, sub.completeness) == (simple.open_dim, simple.completeness)
+        assert sub.equivariant_degrees[2].kind == "trivial"
+        assert (sub.label, simple.label) == (f"subregular {d}", f"simple {d}")
 
 
 def test_subregular_cones():

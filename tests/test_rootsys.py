@@ -554,6 +554,31 @@ def test_folding_elements_multiplication_table():
     assert elems["st"] == tuple(s[t[i]] for i in range(4))
 
 
+def test_folding_elements_act_as_their_words_do_on_the_fundamental_group():
+    # elements() and ModularRep.elements() share one word evaluator; a
+    # word's permutation, pushed to P/Q, must be the product of the
+    # generators' induced matrices in the word's order
+    diagrams = [DynkinDiagram(s, n) for s in "BC" for n in range(2, 30)]
+    diagrams += [DynkinDiagram("F", 4), DynkinDiagram("G", 2)]
+    for d in diagrams:
+        f = folding(d)
+        c = cartan_matrix(f.gamma_hat)
+        action = symmetry_action_on_fundamental_group(f)
+        divisors = action.group.divisors
+
+        def reduced(m):
+            return tuple(tuple(e % divisors[i] for e in row) for i, row in enumerate(m))
+
+        elements = f.elements()
+        assert len(elements) == f.symmetry_order()
+        for word, perm in elements.items():
+            want = intmat.identity(len(divisors))
+            for label in "" if word == "e" else word:
+                want = reduced(intmat.multiply(want, action.action[label]))
+            got = reduced(intmat.induced_endomorphism(c, rootsys._permutation_matrix(perm)))
+            assert got == want, (d, word)
+
+
 SYMMETRY_EXPECT = {
     # gamma: (divisors of the unfolded fundamental group, action summary)
     "B2": ((4,), "negation"),
