@@ -49,7 +49,7 @@ def freeze(m: Sequence[Sequence[int]]) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+    return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
 
 
 def transpose(m: Sequence[Sequence[int]]) -> Matrix:
@@ -60,10 +60,10 @@ def multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     a, b = freeze(a), freeze(b)
     if len(a[0]) != len(b):
         raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} * {len(b)}x{len(b[0])}")
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    bt = tuple(zip(*b))
+    return tuple([
+        tuple([sum([x * y for x, y in zip(row, col)]) for col in bt]) for row in a
+    ])
 
 
 def determinant(m: Sequence[Sequence[int]]) -> int:
@@ -401,9 +401,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> SnfResult:
     rows, cols = len(m), len(m[0])
     rowlog.reverse()
     return SnfResult(
-        u=tuple(tuple(_replay(rowlog, _unit(rows, i))) for i in range(rows)),
-        d=tuple(tuple(row.get(j, 0) for j in range(cols)) for row in a),
-        v=tuple(tuple(_replay(collog, _unit(cols, i))) for i in range(cols)),
+        u=tuple([tuple(_replay(rowlog, _unit(rows, i))) for i in range(rows)]),
+        d=tuple([tuple([row.get(j, 0) for j in range(cols)]) for row in a]),
+        v=tuple([tuple(_replay(collog, _unit(cols, i))) for i in range(cols)]),
     )
 
 
@@ -478,9 +478,9 @@ def induced_endomorphism(
                     f"(coordinate ({i}, {j}))"
                 )
     torsion_idx = [i for i, d in enumerate(eff) if d >= 2]
-    return tuple(
-        tuple(h[i][j] % eff[i] for j in torsion_idx) for i in torsion_idx
-    )
+    return tuple([
+        tuple([h[i][j] % eff[i] for j in torsion_idx]) for i in torsion_idx
+    ])
 
 
 def _row_times(row: Sequence[int], m: Matrix) -> list[int]:

@@ -48,9 +48,7 @@ def group_elements(kind: str, gens: dict, unit, compose) -> dict:
 
 
 def _mod_entrywise(m: Matrix, mods: tuple[int, ...]) -> Matrix:
-    return tuple(
-        tuple(e % mods[i] for e in row) for i, row in enumerate(m)
-    )
+    return tuple([tuple([e % d for e in row]) for row, d in zip(m, mods)])
 
 
 def _group_kind(action: dict[str, Matrix]) -> str:
@@ -79,12 +77,13 @@ def _check_relations(action: dict[str, Matrix], n: int, reduce) -> None:
 
 
 class _GroupAction(Record):
-    __slots__ = ()
+    # _kind is not a field: __init__ works it out from the generator labels
+    __slots__ = ("_kind",)
     action: dict[str, Matrix]
 
     @property
     def kind(self) -> str:
-        return _group_kind(self.action)
+        return self._kind
 
 
 class EquivariantAbGroup(_GroupAction):
@@ -103,7 +102,7 @@ class EquivariantAbGroup(_GroupAction):
         self.action = {} if action is None else action
         if self.group.free_rank:
             raise ValueError("equivariant structure requires a finite group")
-        _group_kind(self.action)
+        self._kind = _group_kind(self.action)
         divs = self.group.divisors
         n = len(divs)
         fixed = {}
@@ -133,7 +132,7 @@ class ModularRep(_GroupAction):
         check_prime(self.ell)
         if self.dim < 0:
             raise ValueError("negative dimension")
-        _group_kind(self.action)
+        self._kind = _group_kind(self.action)
         fixed = {}
         for label, m in self.action.items():
             if self.dim:
@@ -149,7 +148,8 @@ class ModularRep(_GroupAction):
         _check_relations(fixed, self.dim, self._reduce)
 
     def _reduce(self, m: Matrix) -> Matrix:
-        return tuple(tuple(e % self.ell for e in row) for row in m)
+        ell = self.ell
+        return tuple([tuple([e % ell for e in row]) for row in m])
 
     def elements(self) -> dict[str, Matrix]:
         """All group element matrices, keyed by word in the generators."""
@@ -186,10 +186,10 @@ def modp_rank(m: Matrix, p: int) -> int:
 def _eigenspace_dim(m: Matrix, scalar: int, p: int, dim: int) -> int:
     if dim == 0:
         return 0
-    shifted = tuple(
-        tuple((m[i][j] - (scalar if i == j else 0)) % p for j in range(dim))
-        for i in range(dim)
-    )
+    shifted = [
+        [(e - scalar if i == j else e) % p for j, e in enumerate(row)]
+        for i, row in enumerate(m)
+    ]
     return dim - modp_rank(shifted, p)
 
 
@@ -207,7 +207,7 @@ def reduce_mod_l(e: EquivariantAbGroup, ell: int) -> ModularRep:
     """
     keep = [i for i, d in enumerate(e.group.divisors) if d % ell == 0]
     action = {
-        label: tuple(tuple(m[i][j] % ell for j in keep) for i in keep)
+        label: tuple([tuple([m[i][j] % ell for j in keep]) for i in keep])
         for label, m in e.action.items()
     }
     return ModularRep(ell=ell, dim=len(keep), action=action)
@@ -290,18 +290,18 @@ def composition_multiplicities(
         # sign idempotent negates the words with an s (odd permutations)
         if dim:
             elems = rep.elements()
-            sym = tuple(
-                tuple(sum(m[i][j] for m in elems.values()) % ell for j in range(dim))
+            sym = [
+                [sum(m[i][j] for m in elems.values()) % ell for j in range(dim)]
                 for i in range(dim)
-            )
-            alt = tuple(
-                tuple(
+            ]
+            alt = [
+                [
                     sum(-m[i][j] if "s" in w else m[i][j] for w, m in elems.items())
                     % ell
                     for j in range(dim)
-                )
+                ]
                 for i in range(dim)
-            )
+            ]
             out["1"] = modp_rank(sym, ell)
             out["eps"] = modp_rank(alt, ell)
         rest = dim - out["1"] - out["eps"]

@@ -9,16 +9,19 @@ every computation exact.
 Graded variants carry a degree -> module mapping.  Graded support is
 checked against a window, [-32, 32] by default, overridable through the
 DECNUM_DEGREE_WINDOW environment variable ("48" for symmetric bounds or
-"-4:64" for explicit ones, read at construction time).  Out-of-window
-degrees almost always mean a dropped or doubled shift upstream, so they
-fail loudly instead of propagating.
+"-4:64" for explicit ones).  Out-of-window degrees almost always mean a
+dropped or doubled shift upstream, so they fail loudly instead of
+propagating.  A graded constructor validates its input in one pass,
+reads the window once if any entry is nonzero, and sorts only input
+that arrives out of degree order; every producer here emits ascending
+degrees.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Iterable, Mapping
 
 from .intmat import FrozenRecord
 
@@ -114,6 +117,7 @@ class GradedOModule:
         items = modules.items() if isinstance(modules, Mapping) else modules
         store: dict[int, OModule] = {}
         window = None
+        ascending = True
         for deg, mod in items:
             if not isinstance(deg, int):
                 raise ValueError(f"non-integer degree {deg!r}")
@@ -123,10 +127,14 @@ class GradedOModule:
                 raise ValueError(f"degree {deg} listed twice")
             if mod.is_zero():
                 continue
-            window = window or degree_window()
+            if window is None:
+                window = degree_window()
+            elif deg < top:
+                ascending = False
             _check_degree(deg, window)
             store[deg] = mod
-        self._by_degree = dict(sorted(store.items()))
+            top = deg
+        self._by_degree = store if ascending else dict(sorted(store.items()))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(self._by_degree)
@@ -164,20 +172,29 @@ class FGraded:
     def __init__(self, dims: Mapping[int, int], coefficients: str = "F"):
         store: dict[int, int] = {}
         window = None
+        ascending = True
         for deg, dim in dims.items():
             if not isinstance(deg, int) or not isinstance(dim, int):
                 raise ValueError(f"bad graded dimension entry {deg!r}: {dim!r}")
             if dim < 0:
                 raise ValueError(f"negative dimension at degree {deg}")
             if dim:
-                window = window or degree_window()
+                if window is None:
+                    window = degree_window()
+                elif deg < top:
+                    ascending = False
                 _check_degree(deg, window)
                 store[deg] = dim
-        self._dims = dict(sorted(store.items()))
+                top = deg
+        self._dims = store if ascending else dict(sorted(store.items()))
         self.coefficients = coefficients
 
     def dims(self) -> dict[int, int]:
         return dict(self._dims)
+
+    def items(self) -> ItemsView[int, int]:
+        """Read-only (degree, dimension) view, in ascending degree."""
+        return self._dims.items()
 
     def dim_at(self, deg: int) -> int:
         return self._dims.get(deg, 0)
@@ -220,15 +237,12 @@ def reduce_graded(g: GradedOModule, coefficients: str = "F") -> FGraded:
     >>> reduce_graded(g).dims()
     {0: 1, 1: 1, 2: 1, 3: 1}
     """
-    if g.is_zero():
-        return FGraded({}, coefficients)
-    degs = g.degrees()
-    lo, hi = min(degs) - 1, max(degs)
-    dims = {}
-    for deg in range(lo, hi + 1):
-        here = g.module_at(deg)
-        above = g.module_at(deg + 1)
-        dims[deg] = here.rank + len(here.torsion) + len(above.torsion)
+    dims: dict[int, int] = {}
+    for deg, m in g._by_degree.items():  # ascending, so dims is too
+        t = len(m.torsion)
+        if t:
+            dims[deg - 1] = dims.get(deg - 1, 0) + t
+        dims[deg] = m.rank + t
     return FGraded(dims, coefficients)
 
 
@@ -239,7 +253,7 @@ def truncate_F(f: FGraded, n: int, floor: float = -math.inf) -> FGraded:
     {-2: 1}
     """
     return FGraded(
-        {d: v for d, v in f.dims().items() if floor <= d <= n}, f.coefficients
+        {d: v for d, v in f.items() if floor <= d <= n}, f.coefficients
     )
 
 

@@ -254,7 +254,6 @@ def subregular_cone(
         folding_source = folding(gamma)
     elif folding_source.gamma != gamma:
         raise ConeError(f"folding of {folding_source.gamma} given for {gamma}")
-    _require_simply_laced(folding_source.gamma_hat)
     action = symmetry_action_on_fundamental_group(folding_source)
     return _surface_cone(f"subregular {gamma}", action.group, {2: action})
 
@@ -299,18 +298,21 @@ def _band(c: ConeData, cap: float = math.inf, ell: int | None = None,
     the integral torsion is localized at ell.
     """
     d = c.open_dim
+    link = c.link_cohomology
     out = {}
     for deg in c.known_degrees():
         if deg > cap:
             break
-        entry = c.link_cohomology.get(deg, ZERO_ENTRY)
-        if entry.rank is None:
+        entry = link.get(deg, ZERO_ENTRY)
+        rank, torsion = entry.rank, entry.torsion
+        if rank is None:
             if skip_unknown:
                 continue
             raise ConeError(f"insufficient link data: rank unknown at degree {deg}")
-        torsion = entry.torsion if ell is None else _localize(entry.torsion, ell)
-        if entry.rank or torsion:
-            out[deg - d] = OModule(entry.rank, torsion)
+        if torsion and ell is not None:
+            torsion = _localize(torsion, ell)
+        if rank or torsion:
+            out[deg - d] = OModule(rank, torsion)
     return out
 
 
@@ -440,7 +442,7 @@ def decomposition_number(c: ConeData, ell: int) -> int:
     1
     """
     middle = _check_euler_hypotheses(c, ell)
-    flavor = ExtensionFlavor("p", "!*")
+    flavor = FLAVOR_CHAIN[2]  # p,!*
     o_side = reduce_graded(
         localize_stalk(extension_stalk(c, flavor), ell), coefficients=f"F_{ell}"
     )
@@ -448,7 +450,7 @@ def decomposition_number(c: ConeData, ell: int) -> int:
     floor = _floor(c)  # compare only degrees the known window speaks for
     diff = sum(
         dim if deg % 2 == 0 else -dim
-        for deg, dim in o_side.dims().items()
+        for deg, dim in o_side.items()
         if deg >= floor
     ) - f_side.euler_characteristic()
     expected = sum(1 for t in middle.torsion if t % ell == 0)

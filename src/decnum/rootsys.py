@@ -450,6 +450,8 @@ class FoldingDatum(FrozenRecord):
         generators: dict[str, tuple[int, ...]] | None = None,
         quotient_groups: tuple[str, str] = ("", ""),
     ) -> None:
+        if not gamma_hat.simply_laced:
+            raise ValueError(f"unfolding {gamma_hat} is not simply laced")
         generators = {} if generators is None else generators
         if tuple(sorted(generators)) != GROUPS[symmetry][0]:
             raise ValueError("generator labels do not match symmetry group")

@@ -13,9 +13,12 @@ theory).  Values frozen in the tests were produced by these functions.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 from math import lcm
+
+from decnum import omodule
 
 
 # ---------------------------------------------------------------- lattices
@@ -572,3 +575,74 @@ def reference_decomposition(band, ell, support):
     if reference_f_stalk(band, "!*", ell, support) == OUT_OF_WINDOW:
         return OUT_OF_WINDOW
     return sum(1 for t in middle[1] if t % ell == 0)
+
+
+# ---------------------------------------------------------- graded modules
+#
+# The graded constructors and functors as they were when every
+# constructor collected its entries and then sorted them, and
+# reduce_graded probed module_at on every degree of the span.  Values
+# come back as ascending (degree, value) tuples; the window is read
+# through omodule.degree_window, so a counting patch sees both routes.
+
+def _reference_check_degree(deg, window):
+    lo, hi = window
+    if not lo <= deg <= hi:
+        raise omodule.DegreeWindowError(
+            f"degree {deg} outside support window [{lo}, {hi}]"
+        )
+
+
+def reference_graded_items(modules):
+    """GradedOModule(modules).items(), by collect-then-sort."""
+    items = modules.items() if isinstance(modules, Mapping) else modules
+    store = {}
+    window = None
+    for deg, mod in items:
+        if not isinstance(deg, int):
+            raise ValueError(f"non-integer degree {deg!r}")
+        if not isinstance(mod, omodule.OModule):
+            raise ValueError(f"degree {deg}: expected OModule, got {mod!r}")
+        if deg in store:
+            raise ValueError(f"degree {deg} listed twice")
+        if mod.is_zero():
+            continue
+        window = window or omodule.degree_window()
+        _reference_check_degree(deg, window)
+        store[deg] = mod
+    return tuple(sorted(store.items()))
+
+
+def reference_f_items(dims):
+    """FGraded(dims) as its ascending (degree, dimension) pairs."""
+    store = {}
+    window = None
+    for deg, dim in dims.items():
+        if not isinstance(deg, int) or not isinstance(dim, int):
+            raise ValueError(f"bad graded dimension entry {deg!r}: {dim!r}")
+        if dim < 0:
+            raise ValueError(f"negative dimension at degree {deg}")
+        if dim:
+            window = window or omodule.degree_window()
+            _reference_check_degree(deg, window)
+            store[deg] = dim
+    return tuple(sorted(store.items()))
+
+
+def reference_reduce_graded(items):
+    """reduce_graded on graded items: every degree from one below the
+    lowest to the highest, each read in place and one above."""
+    if not items:
+        return reference_f_items({})
+    by_degree = dict(items)
+    dims = {}
+    for deg in range(min(by_degree) - 1, max(by_degree) + 1):
+        here = by_degree.get(deg, omodule.ZERO)
+        above = by_degree.get(deg + 1, omodule.ZERO)
+        dims[deg] = here.rank + len(here.torsion) + len(above.torsion)
+    return reference_f_items(dims)
+
+
+def reference_truncate_F(items, n, floor):
+    """truncate_F on (degree, dimension) items."""
+    return reference_f_items({d: v for d, v in dict(items).items() if floor <= d <= n})

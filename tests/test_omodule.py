@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+import oracles
 from decnum import omodule
 from decnum.omodule import (
     DEFAULT_WINDOW,
@@ -196,3 +198,87 @@ def test_reduce_graded_dimension_count():
         total = reduce_graded(g).total_dim()
         want = sum(m.rank + 2 * len(m.torsion) for _, m in g.items())
         assert total == want
+
+
+def _outcome(call):
+    """("ok", value) or (exception class name, message)."""
+    try:
+        return "ok", call()
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def _random_modules(rng, lo, hi):
+    """Graded input near and past the window edges, in any order, with
+    zero modules, repeated degrees and now and then a malformed entry."""
+    edges = (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)
+    pairs = []
+    for _ in range(rng.randint(0, 7)):
+        deg = rng.choice(edges) if rng.random() < 0.4 else rng.randint(lo, hi)
+        exps = tuple(rng.choice((1, 2, 3)) for _ in range(rng.choice((0, 0, 1, 2))))
+        pairs.append((deg, OModule(rng.choice((0, 0, 1, 2)), exps)))
+    bad = rng.random()
+    if bad < 0.05:
+        pairs.insert(rng.randint(0, len(pairs)), (0.5, OModule(1)))
+    elif bad < 0.1:
+        pairs.insert(rng.randint(0, len(pairs)), (rng.randint(lo, hi), 3))
+    if rng.random() < 0.4:
+        pairs.sort(key=lambda p: p[0])
+    return pairs if rng.random() < 0.5 else dict(pairs)
+
+
+def _random_dims(rng, lo, hi):
+    edges = (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)
+    dims = {}
+    for _ in range(rng.randint(0, 7)):
+        deg = rng.choice(edges) if rng.random() < 0.4 else rng.randint(lo, hi)
+        dims[deg] = rng.choice((0, 0, 1, 2, 3, 5))
+    bad = rng.random()
+    if bad < 0.05:
+        dims[rng.randint(lo, hi)] = -1
+    elif bad < 0.1:
+        dims[rng.randint(lo, hi)] = 2.0
+    if rng.random() < 0.4:
+        dims = dict(sorted(dims.items()))
+    return dims
+
+
+@pytest.mark.parametrize("override", [None, "40", "-3:5", "wide"])
+def test_graded_objects_match_the_sort_always_reference(monkeypatch, override):
+    if override is None:
+        monkeypatch.delenv("DECNUM_DEGREE_WINDOW", raising=False)
+    else:
+        monkeypatch.setenv("DECNUM_DEGREE_WINDOW", override)
+    lo, hi = DEFAULT_WINDOW if override in (None, "wide") else degree_window()
+    calls = []
+    real = omodule.degree_window
+    monkeypatch.setattr(omodule, "degree_window", lambda: calls.append(1) or real())
+
+    def run(call):
+        # the outcome, and how often it read the window
+        calls.clear()
+        return _outcome(call), len(calls)
+
+    def f_items(f, coefficients):
+        assert f.coefficients == coefficients
+        return tuple(f.dims().items())
+
+    rng = random.Random(f"graded reference {override}")
+    for _ in range(300):
+        modules = _random_modules(rng, lo, hi)
+        got = run(lambda: GradedOModule(modules).items())
+        assert got == run(lambda: oracles.reference_graded_items(modules)), modules
+        if got[0][0] == "ok":
+            g = GradedOModule(modules)
+            assert run(lambda: f_items(reduce_graded(g, "F_3"), "F_3")) == run(
+                lambda: oracles.reference_reduce_graded(g.items())), g
+
+        dims = _random_dims(rng, lo, hi)
+        got = run(lambda: tuple(FGraded(dims, "K").dims().items()))
+        assert got == run(lambda: oracles.reference_f_items(dims)), dims
+        if got[0][0] == "ok":
+            f = FGraded(dims, "K")
+            n = rng.randint(lo - 1, hi + 1)
+            floor = rng.choice((-math.inf, rng.randint(lo - 1, hi + 1)))
+            assert run(lambda: f_items(truncate_F(f, n, floor), "K")) == run(
+                lambda: oracles.reference_truncate_F(f.dims().items(), n, floor)), (f, n, floor)

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
+from decnum import omodule, perverse
 from decnum.intmat import FinAbGroup
 from decnum.modrep import EquivariantAbGroup
 from decnum.omodule import DegreeWindowError, GradedOModule, OModule, degree_window
@@ -122,9 +124,9 @@ def test_simple_link_rejects_folded_types():
 def test_subregular_cone_checks_its_folding():
     with pytest.raises(ConeError, match="folding of G2 given for B3"):
         subregular_cone(D("B3"), folding(D("G2")))
-    # a hand-built folding whose unfolding is not simply laced
-    with pytest.raises(ConeError, match="B3 is not simply laced; fold it first"):
-        subregular_cone(D("B3"), FoldingDatum(D("B3"), D("B3"), "trivial"))
+    # a folding whose unfolding is not simply laced cannot be built
+    with pytest.raises(ValueError, match="unfolding B3 is not simply laced"):
+        FoldingDatum(D("B3"), D("B3"), "trivial")
 
 
 def test_subregular_cone_of_a_simply_laced_type_is_its_simple_cone():
@@ -481,6 +483,39 @@ def test_g2_stalks_at_the_cone_point():
     assert stalk.module_at(0) == OModule(0, (2, 2))
     f_stalk = f_extension_stalk(cone, ExtensionFlavor("p", "!*"), 2)
     assert f_stalk.dims() == {-2: 1, -1: 2}
+
+
+def test_stalk_queries_keep_their_call_graph(monkeypatch):
+    # a decomposition number is an Euler comparison of the reduced,
+    # localized p,!* stalk with the F-coefficient stalk: both sides are
+    # built through the public functors, not read off the link directly
+    counts = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, **k: counts.update([name]) or real(*a, **k))
+
+    for name in ("extension_stalk", "localize_stalk", "f_extension_stalk",
+                 "reduce_graded", "reduce_mod_l", "composition_multiplicities"):
+        count(perverse, name)
+    count(omodule, "degree_window")
+    stalk_calls = {"extension_stalk": 1, "localize_stalk": 1, "f_extension_stalk": 1,
+                   "reduce_graded": 2}
+    # one window read per nonzero graded object: the simple cone's stalk,
+    # its localization and reduction, the band, its reduction and truncation;
+    # the minimal cone's p,!* stalk and its shadows are zero
+    for cone, ell, reads in ((link_cohomology_simple(D("A3")), 2, 6),
+                             (link_cohomology_minimal(D("E6")), 3, 3)):
+        counts.clear()
+        assert decomposition_number(cone, ell) == 1
+        assert counts == {**stalk_calls, "degree_window": reads}, cone.label
+    cone = subregular_cone(D("G2"))
+    counts.clear()
+    report = equivariant_decomposition(cone, "S3", 2)
+    assert report.per_character == {"1": 0, "psi": 1}
+    assert counts == {**stalk_calls, "degree_window": 6, "reduce_mod_l": 1,
+                      "composition_multiplicities": 1}
 
 
 def test_equivariant_decomposition_errors():
