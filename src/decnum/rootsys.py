@@ -133,11 +133,15 @@ ALL_DIAGRAMS_RANK_LE_8 = tuple(
 
 
 class _PackedRoots(FrozenRecord):
+    """Sets roots and lengths at their first read, from _decode_roots on
+    _packed = (Cartan row supports, symmetrizer, highest root), and then
+    drops _packed."""
+
     # not a field: Record reads fields from the subclass's own __slots__
     __slots__ = ("_packed",)
 
     def __getattr__(self, name):
-        # only for an unset slot: the first read of roots or lengths decodes both
+        # only for an unset slot
         if name not in ("roots", "lengths"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         roots, lengths = _decode_roots(*self._packed)
@@ -152,7 +156,9 @@ class RootSystemData(_PackedRoots):
 
     roots are sorted lexicographically;  lengths[i] is "long" or "short"
     for roots[i] (every root of a simply-laced system counts as long).
-    generate_roots leaves these two to be decoded once, on first read.
+    generate_roots sets the other fields in the call; the first read of
+    roots or lengths closes the roots and checks their top against
+    highest_root.
     """
 
     __slots__ = ("cartan", "roots", "lengths", "highest_root", "dual_coxeter")
@@ -176,10 +182,78 @@ class RootSystemData(_PackedRoots):
 _NEGATED = bytes(-b & 255 for b in range(256))
 
 
-def _decode_roots(origin: dict[int, int], n: int, ls: tuple[int, ...]):
-    """roots and lengths from origin (packed positive root to its simple
-    root) and the symmetrizer ls.  The negative roots are the negated
-    positive ones, in the reverse order of their negations."""
+def _reflection_closure(row_support) -> dict[int, int]:
+    """Close the simple roots under the raising simple reflections.
+
+    Returns origin, which maps each positive root, packed, to the simple
+    root whose reflection orbit it lies in, so the root has its squared
+    length.  Coordinates are with respect to the simple roots, so
+    reflection i sends v to v with v[i] replaced by v[i] - p[i], where
+    p[i] = sum_j v[j] C[j][i] pairs v with the simple coroot i.  s_i
+    permutes the positive roots other than a_i (Humphreys, Introduction
+    to Lie Algebras, 10.2 Lemma B), and a positive root of height > 1
+    pairs positively with some simple coroot, so every positive root is
+    reached from a simple root by reflections with p[i] < 0, each of
+    which adds -p[i] a_i.  Only those are applied.  Each frontier root
+    carries its nonzero pairings, so a reflection reads p[i] directly
+    and the child's pairings are the parent's minus p[i] times Cartan
+    row i (row_support lists its nonzero entries (j, C[i][j])).
+
+    A positive root is held as a packed int, one byte per coordinate
+    with coordinate 0 the most significant, so integer order is tuple
+    order and the sort is one int sort.  Only for a finite type, which
+    generate_roots has decided: no finite root system has a coefficient
+    above 6 (the largest is E8's highest root).
+    """
+    n = len(row_support)
+    shift = [8 * (n - 1 - i) for i in range(n)]
+    origin = {}
+    frontier = []
+    for i in range(n):
+        origin[1 << shift[i]] = i
+        frontier.append((1 << shift[i], dict(row_support[i])))
+    while frontier:
+        nxt = []
+        for v, pairing in frontier:
+            for i, p in pairing.items():
+                if p >= 0:
+                    continue
+                # past 255 a coordinate would carry into the next one's byte
+                if (v >> shift[i] & 255) - p > 6:
+                    raise AssertionError("root coefficient above 6 in a finite type")
+                w = v - (p << shift[i])
+                if w in origin:
+                    continue
+                origin[w] = origin[v]
+                q = dict(pairing)
+                for j, x in row_support[i]:
+                    y = q.get(j, 0) - p * x
+                    if y:
+                        q[j] = y
+                    else:
+                        del q[j]
+                nxt.append((w, q))
+        frontier = nxt
+    return origin
+
+
+def _decode_roots(row_support, ls, highest: tuple[int, ...]):
+    """roots and lengths from the reflection closure and the symmetrizer
+    ls, after checking that the closure's top root is highest.  The
+    negative roots are the negated positive ones, in the reverse order
+    of their negations."""
+    origin = _reflection_closure(row_support)
+    n = len(row_support)
+    # the highest root dominates every root, so it is also the largest;
+    # every negative root lies below 0, so checking the positive ones
+    # suffices.  With a guard bit over each coordinate byte, top minus v
+    # keeps every guard bit exactly when no coordinate of v is larger
+    top = max(origin)
+    guard = int.from_bytes(b"\x80" * n, "big")
+    guarded = top | guard
+    if top != int.from_bytes(bytes(highest), "big") or any(
+            guarded - v & guard != guard for v in origin):
+        raise AssertionError("highest root fails to dominate")
     packed = sorted(origin)
     chunks = [v.to_bytes(n, "big") for v in packed]
     positive = tuple(iter_unpack(f"{n}B", b"".join(chunks)))
@@ -188,8 +262,8 @@ def _decode_roots(origin: dict[int, int], n: int, ls: tuple[int, ...]):
     roots = tuple(iter_unpack(f"{n}b", b"".join(chunks).translate(_NEGATED))) + positive
     # (v, v) up to the common factor 1/2 is sum_ij v_i v_j C[i][j] L[j],
     # which is 2 L[i] on the simple root a_i
-    top = max(ls)
-    upper = tuple("long" if ls[origin[v]] == top else "short" for v in packed)
+    longest = max(ls)
+    upper = tuple("long" if ls[origin[v]] == longest else "short" for v in packed)
     return roots, upper[::-1] + upper
 
 
@@ -208,69 +282,99 @@ def _validate_cartan(c: Matrix) -> None:
                     raise ValueError("asymmetric Cartan zero pattern")
 
 
-def _symmetrizer(c: Matrix, row_support) -> tuple[int, ...]:
-    """Positive integers L with C[i][j] * L[j] == C[j][i] * L[i].
+def _finite_components(c: Matrix, row_support):
+    """(ls, tops), or None when some connected component of the diagram
+    is not of finite type.  ls[i] > 0 with C[i][j] L[j] == C[j][i] L[i],
+    scaled per component; tops holds (size, long simple root, highest
+    root as {node: coefficient}) per component.
 
-    Found by propagating the ratio along edges of the diagram.  Errors
-    out if the zero pattern is disconnected or inconsistent (we only
-    handle irreducible finite types).  row_support lists the nonzero
-    entries (j, C[i][j]) of each row i.
+    A connected generalized Cartan matrix is of finite type iff its
+    diagram is a tree (so L follows the edges) and B[i][j] = C[i][j] L[j]
+    is positive definite (Kac, Infinite dimensional Lie algebras, ch. 4).
+    Eliminating a tree's leaves first fills in nothing, so the pivots,
+    integer fractions in lowest terms, come from one pass up the
+    breadth-first order.  The highest root is the dominant root in the
+    Weyl orbit of a long simple root (Humphreys 10.4 Lemma A), which the
+    closure's raising reflections reach.
     """
     n = len(c)
-    # L[i] as a fraction in lowest terms: (numerator, positive denominator)
-    vals: list[tuple[int, int] | None] = [None] * n
-    vals[0] = (1, 1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        num, den = vals[i]
-        for j, x in row_support[i]:
-            if i != j:
-                # C[i][j] L[j] == C[j][i] L[i] forces the ratio below
-                p, q = num * c[j][i], den * x
-                if q < 0:
-                    p, q = -p, -q
-                g = gcd(p, q)
-                want = (p // g, q // g)
-                if vals[j] is None:
-                    vals[j] = want
-                    queue.append(j)
-                elif vals[j] != want:
-                    raise ValueError("Cartan matrix is not symmetrizable")
-    if any(v is None for v in vals):
-        raise ValueError("Cartan matrix is not connected")
-    scale = lcm(*[q for _, q in vals])
-    return tuple([p * (scale // q) for p, q in vals])
+    ls = [0] * n  # 0 until the node's component is scaled
+    parent = [0] * n
+    tops = []
+    for first in range(n):
+        if ls[first]:
+            continue
+        # breadth-first over the component, L as fractions in lowest terms
+        order = [first]
+        ratio = {first: (1, 1)}
+        ends = 0
+        for i in order:
+            num, den = ratio[i]
+            for j, x in row_support[i]:
+                if j == i:
+                    continue
+                ends += 1
+                if j not in ratio:
+                    # C[i][j] L[j] == C[j][i] L[i]; both entries are negative
+                    p, q = -num * c[j][i], -den * x
+                    g = gcd(p, q)
+                    ratio[j] = (p // g, q // g)
+                    parent[j] = i
+                    order.append(j)
+        # a tree has one edge fewer than nodes, and each edge has two ends
+        if ends != 2 * len(order) - 2:
+            return None
+        scale = lcm(*[q for _, q in ratio.values()])
+        for i, (p, q) in ratio.items():
+            ls[i] = p * (scale // q)
+        pivot = {i: (2 * ls[i], 1) for i in order}
+        for i in reversed(order):
+            a, b = pivot[i]
+            if a <= 0:
+                return None
+            if i != first:
+                up = parent[i]
+                x = c[up][i] * ls[i]  # B[up][i] == B[i][up]
+                e, f = pivot[up]
+                num, den = e * a - x * x * b * f, f * a
+                g = gcd(num, den)
+                pivot[up] = (num // g, den // g)
+        start = max(order, key=ls.__getitem__)
+        theta = {start: 1}
+        pairing = dict(row_support[start])
+        stack = [j for j, p in pairing.items() if p < 0]
+        while stack:
+            i = stack.pop()
+            p = pairing[i]
+            if p >= 0:
+                continue
+            k = theta.get(i, 0) - p
+            if k > 6:  # above E8's highest root: no finite type
+                return None
+            theta[i] = k
+            for j, x in row_support[i]:
+                y = pairing.get(j, 0) - p * x
+                pairing[j] = y
+                if y < 0:
+                    stack.append(j)
+        tops.append((len(order), start, theta))
+    return ls, tops
 
 
 def generate_roots(cartan) -> RootSystemData:
-    """Close the simple roots under the raising simple reflections.
+    """Root data of a finite-type Cartan matrix.
 
-    Coordinates are with respect to the simple roots, so reflection i
-    sends v to v with v[i] replaced by v[i] - p[i], where
-    p[i] = sum_j v[j] C[j][i] pairs v with the simple coroot i.  s_i
-    permutes the positive roots other than a_i (Humphreys, Introduction
-    to Lie Algebras, 10.2 Lemma B), and a positive root of height > 1
-    pairs positively with some simple coroot, so every positive root is
-    reached from a simple root by reflections with p[i] < 0, each of
-    which adds -p[i] a_i.  Only those are applied.  Each frontier root
-    carries its nonzero pairings, so a reflection reads p[i] directly
-    and the child's pairings are the parent's minus p[i] times Cartan
-    row i; each root also inherits the simple root it is conjugate to,
-    and with it its squared length.
+    In the call: the matrix is frozen and validated, each connected
+    component is tested for finite type and walked to its highest root
+    theta (_finite_components), and h^vee = 1 + sum_i theta_i L_i / L_theta.
+    An affine or indefinite matrix is refused with the reflection
+    closure's message, as is a direct sum of finite types with more
+    roots than max(240, 2 n^2), the most any finite type of rank n has
+    (it has n (ht theta + 1)).  Any other direct sum is not connected.
 
-    A positive root is held as a packed int, one byte per coordinate
-    with coordinate 0 the most significant, so integer order is tuple
-    order and the sort is one int sort.  No finite root system has a
-    coefficient above 6 (the largest is E8's highest root), so a root
-    that would need one means an infinite Weyl group, whose closure
-    never ends; it is refused at once with the error the closure gives
-    once the roots number more than max(240, 2 n^2), the most any
-    finite type of rank n has.
-
-    Every check runs in the call.  The record keeps the packed positive
-    roots with their origins and decodes roots and lengths once, on
-    first read.
+    At the first read of roots or lengths: the reflection closure, the
+    check that its top root is highest_root and dominates every root,
+    and the decoding.
 
     >>> rs = generate_roots(cartan_matrix(DynkinDiagram("A", 2)))
     >>> (len(rs.roots), rs.dual_coxeter, rs.highest_root)
@@ -281,68 +385,27 @@ def generate_roots(cartan) -> RootSystemData:
     c = intmat.freeze(cartan)
     _validate_cartan(c)
     n = len(c)
-    # safety bound: no finite root system of rank n has more roots (B_n and
-    # C_n have 2n^2, E8 has 240), so a closure past it is affine or indefinite
-    bound = max(240, 2 * n * n)
-    refusal = (f"reflection closure exceeded the safety bound of {bound} "
-               f"roots for rank {n}; not a finite type")
     # nonzero entries of each Cartan row: reflection i changes only these pairings
     row_support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
-    shift = [8 * (n - 1 - i) for i in range(n)]
-
-    # origin[v] is the simple root whose reflection orbit the positive
-    # root v lies in, so v has its squared length; it doubles as the
-    # closure's seen-set
-    origin = {}
-    frontier = []
-    for i in range(n):
-        origin[1 << shift[i]] = i
-        frontier.append((1 << shift[i], dict(row_support[i])))
-    while frontier:
-        nxt = []
-        for v, pairing in frontier:
-            for i, p in pairing.items():
-                if p >= 0:
-                    continue
-                # checked before the lookup: past 255 it would carry into
-                # the next coordinate's byte and could alias another root
-                if (v >> shift[i] & 255) - p > 6:
-                    raise ValueError(refusal)
-                w = v - (p << shift[i])
-                if w in origin:
-                    continue
-                origin[w] = origin[v]
-                # each positive root stands for itself and its negative
-                if 2 * len(origin) > bound:
-                    raise ValueError(refusal)
-                q = dict(pairing)
-                for j, x in row_support[i]:
-                    y = q.get(j, 0) - p * x
-                    if y:
-                        q[j] = y
-                    else:
-                        del q[j]
-                nxt.append((w, q))
-        frontier = nxt
-
-    ls = _symmetrizer(c, row_support)
-    # the highest root dominates every root, so it is also the largest;
-    # every negative root lies below 0, so checking the positive ones
-    # suffices.  With a guard bit over each coordinate byte, top minus v
-    # keeps every guard bit exactly when no coordinate of v is larger
-    top = max(origin)
-    guard = int.from_bytes(b"\x80" * n, "big")
-    guarded = top | guard
-    if any(guarded - v & guard != guard for v in origin):
-        raise AssertionError("highest root fails to dominate")
-    highest = tuple(top.to_bytes(n, "big"))
+    split = _finite_components(c, row_support)
+    bound = max(240, 2 * n * n)
+    if split is None or sum(size * (1 + sum(theta.values()))
+                            for size, _, theta in split[1]) > bound:
+        raise ValueError(f"reflection closure exceeded the safety bound of {bound} "
+                         f"roots for rank {n}; not a finite type")
+    ls, tops = split
+    if len(tops) > 1:
+        raise ValueError("Cartan matrix is not connected")
+    _, start, theta = tops[0]
+    highest = tuple([theta.get(i, 0) for i in range(n)])
     # h^vee = 1 + sum_i highest[i] (a_i, a_i) / (theta, theta)
-    weight, rest = divmod(sum(h * l for h, l in zip(highest, ls)), ls[origin[top]])
+    weight, rest = divmod(sum([h * ls[i] for i, h in theta.items()]), ls[start])
     if rest:
         raise AssertionError("dual Coxeter number came out non-integral")
     rs = RootSystemData.__new__(RootSystemData)
     for name, value in (("cartan", c), ("highest_root", highest),
-                        ("dual_coxeter", 1 + weight), ("_packed", (origin, n, ls))):
+                        ("dual_coxeter", 1 + weight),
+                        ("_packed", (row_support, ls, highest))):
         object.__setattr__(rs, name, value)
     return rs
 

@@ -251,6 +251,16 @@ DUAL_COXETER = {
 }
 
 
+# highest roots of the classical series in simple-root coordinates
+# (Bourbaki, Lie VI, plates I-IV)
+HIGHEST_ROOT = {
+    "A": lambda n: (1,) * n,
+    "B": lambda n: (1,) + (2,) * (n - 1),
+    "C": lambda n: (2,) * (n - 1) + (1,),
+    "D": lambda n: (1,) + (2,) * (n - 3) + (1, 1),
+}
+
+
 def reference_root_system(cartan):
     """Dense reflection closure: (roots, lengths, highest_root, dual_coxeter).
 

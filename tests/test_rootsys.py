@@ -115,12 +115,19 @@ def test_generate_roots_matches_dense_reference_closure():
         for s in "ABCD"
         for n in range(SERIES_MIN_RANK[s], 13)
     ] + [DynkinDiagram(s, n) for s, n in sorted(EXCEPTIONAL)]
-    # B20 and C20 have 800 roots, near the dense closure's limit of 1000
+    # B20 and C20 have 800 roots, near the dense closure's limit of 1000;
+    # A30, B22, C22 and D22 are the largest of each series it takes
     diagrams += [DynkinDiagram(s, 20) for s in "ABCD"]
-    for d in diagrams:
-        rs = root_system(d)
-        got = (rs.roots, rs.lengths, rs.highest_root, rs.dual_coxeter)
-        assert got == oracles.reference_root_system(cartan_matrix(d)), d
+    diagrams += [DynkinDiagram(s, n) for s, n in (("A", 30), ("B", 22), ("C", 22), ("D", 22))]
+    matrices = [cartan_matrix(d) for d in diagrams]
+    # the transposes of B and C are each other's, A, D and E are symmetric
+    matrices += [intmat.transpose(cartan_matrix(DynkinDiagram(s, n))) for s, n in (("F", 4), ("G", 2))]
+    for c in matrices:
+        rs = generate_roots(c)
+        roots, lengths, highest, dual_coxeter = oracles.reference_root_system(c)
+        # the walk's theta and h^vee, read before anything closes the roots
+        assert (rs.highest_root, rs.dual_coxeter) == (highest, dual_coxeter), c
+        assert (rs.roots, rs.lengths) == (roots, lengths), c
 
 
 def test_roots_are_sorted_negated_positives():
@@ -190,23 +197,38 @@ def _rational_symmetrizer(c):
     return tuple(int(v * scale) for v in vals)
 
 
+def _block_sum(a, b, perm=None):
+    # the direct sum of two square matrices, nodes relabelled by perm
+    n, m = len(a), len(b)
+    c = [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+    perm = range(n + m) if perm is None else perm
+    return [[c[i][j] for j in perm] for i in perm]
+
+
 def test_symmetrizer_matches_rational_arithmetic():
+    # the walk scales L on each component as the rational walk from the
+    # component's first node does, and finds none off finite type
+    def finite_components(c):
+        return rootsys._finite_components(c, [[(j, x) for j, x in enumerate(row) if x]
+                                              for row in c])
+
     matrices = [cartan_matrix(d) for d in ALL_DIAGRAMS_RANK_LE_8]
     matrices += [cartan_matrix(DynkinDiagram(s, 40)) for s in "ABCD"]
-    matrices += [
+    matrices += [intmat.transpose(c) for c in matrices]
+    for c in matrices:
+        assert finite_components(c)[0] == list(_rational_symmetrizer(c)), c
+    g2, b3 = cartan_matrix(DynkinDiagram("G", 2)), cartan_matrix(DynkinDiagram("B", 3))
+    for a, b in ((g2, b3), (b3, intmat.transpose(g2)), (((2,),), g2)):
+        want = list(_rational_symmetrizer(a)) + list(_rational_symmetrizer(b))
+        assert finite_components(_block_sum(a, b))[0] == want
+    assert finite_components(((2, 0, 0), (0, 2, -1), (0, -1, 2)))[0] == [1, 1, 1]
+    for c in (
         ((2, -3), (-2, 2)),                         # ratio 3/2
         ((2, -1, 0), (-4, 2, -3), (0, -2, 2)),      # ratios 4, then 2/3
         ((2, -1, -1), (-2, 2, -1), (-1, -1, 2)),    # a cycle that disagrees
-        ((2, 0, 0), (0, 2, -1), (0, -1, 2)),        # two components
-    ]
-    for c in matrices:
-        support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
-        want = _rational_symmetrizer(c)
-        if isinstance(want, str):
-            with pytest.raises(ValueError, match=f"^Cartan matrix is {want}$"):
-                rootsys._symmetrizer(c, support)
-        else:
-            assert rootsys._symmetrizer(c, support) == want
+        ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),    # a cycle that agrees: A2~
+    ):
+        assert finite_components(c) is None, c
 
 
 def test_generate_roots_rejects_bad_input():
@@ -294,6 +316,48 @@ def test_generate_roots_matches_reference_on_random_matrices():
                 generate_roots(c)
             assert str(e.value) == _bound_message(len(c)), c
     assert 50 < answered < 350
+    # block sums of two, nodes shuffled: the closure of a sum is the union
+    # of the closures, so it fails as soon as either summand is infinite
+    # or the roots together pass the bound; otherwise it is not connected
+    disconnected = 0
+    for _ in range(300):
+        a, b = (_random_connected_gcm(rng, rng.randint(1, 5)) for _ in range(2))
+        perm = list(range(len(a) + len(b)))
+        rng.shuffle(perm)
+        c = _block_sum(a, b, perm)
+        message = _bound_message(len(c))
+        if _finite_type(a) and _finite_type(b):
+            size = sum(len(oracles.reference_root_system(m)[0]) for m in (a, b))
+            if size <= max(240, 2 * len(c) ** 2):
+                message = "Cartan matrix is not connected"
+                disconnected += 1
+        with pytest.raises(ValueError) as e:
+            generate_roots(c)
+        assert str(e.value) == message, c
+    assert 20 < disconnected < 280
+
+
+def test_disconnected_matrices_keep_their_outcomes():
+    # the outcome of the closure over the direct sum: past the bound of
+    # max(240, 2 n^2) roots, or with an infinite summand, the bound
+    # message; otherwise "not connected"
+    def m(name):
+        return cartan_matrix(DynkinDiagram(name[0], int(name[1:])))
+
+    cycle = ((2, -1, -1), (-2, 2, -1), (-1, -1, 2))  # not symmetrizable
+    cases = [
+        (_block_sum(m("E8"), m("A1")), _bound_message(9)),        # 242 > 240 roots
+        (_block_sum(((2, -2), (-2, 2)), m("A1")), _bound_message(3)),
+        (_block_sum(m("A1"), cycle), _bound_message(4)),
+        (_block_sum(m("A2"), m("A1")), "Cartan matrix is not connected"),
+        (_block_sum(m("E8"), m("E8")), "Cartan matrix is not connected"),  # 480 <= 512
+        (_block_sum(m("A1"), m("B3")), "Cartan matrix is not connected"),
+        (_block_sum(m("A1"), m("B3"), (3, 0, 2, 1)), "Cartan matrix is not connected"),
+    ]
+    for c, message in cases:
+        with pytest.raises(ValueError) as e:
+            generate_roots(c)
+        assert str(e.value) == message, c
 
 
 def _decoded(rs):
@@ -391,6 +455,41 @@ def test_minimal_cones_never_decode_roots(monkeypatch):
         assert cone.open_dim == 2 * oracles.DUAL_COXETER[d.series](d.rank) - 2, d
         assert tables.minimal_answer(d, (2, 3))[0] == cone
     assert len(tables.paper_tables()["minimal"]) == len(tables.minimal_grid())
+
+
+def test_generate_roots_never_closes_in_the_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("roots closed")
+
+    monkeypatch.setattr(rootsys, "_reflection_closure", refuse)
+    # every finite type up to rank 40 and each transpose; transposing
+    # swaps long and short, so B_n^T is C_n's matrix and C_n^T is B_n's
+    for series, rank in sorted(EXCEPTIONAL):
+        c = cartan_matrix(DynkinDiagram(series, rank))
+        for m in (c, intmat.transpose(c)):
+            assert generate_roots(m).dual_coxeter == oracles.DUAL_COXETER[series](rank)
+    for s in "ABCD":
+        for n in range(SERIES_MIN_RANK[s], 41):
+            c = cartan_matrix(DynkinDiagram(s, n))
+            for m, t in ((c, s), (intmat.transpose(c), {"B": "C", "C": "B"}.get(s, s))):
+                rs = generate_roots(m)
+                want = (oracles.HIGHEST_ROOT[t](n), oracles.DUAL_COXETER[t](n))
+                assert (rs.highest_root, rs.dual_coxeter) == want, (s, n, t)
+    # the first read of the roots is what closes
+    with pytest.raises(AssertionError, match="roots closed"):
+        generate_roots(cartan_matrix(DynkinDiagram("A", 2))).lengths
+
+
+def test_first_read_checks_the_walk_against_the_closure():
+    c = cartan_matrix(DynkinDiagram("B", 3))
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
+    ls = [2, 2, 1]
+    rs = generate_roots(c)
+    assert rootsys._decode_roots(support, ls, (1, 2, 2)) == (rs.roots, rs.lengths)
+    # a dominated root, or a tuple no root equals, is not the top root
+    for wrong in ((1, 1, 1), (1, 2, 1), (2, 2, 2)):
+        with pytest.raises(AssertionError, match="^highest root fails to dominate$"):
+            rootsys._decode_roots(support, ls, wrong)
 
 
 def test_dual_fundamental_group_is_the_cokernel_of_the_transpose():
