@@ -254,18 +254,15 @@ def composition_multiplicities(
     labels = irreducible_labels(kind, ell)
     out = {label: 0 for label in labels}
 
-    if kind == "trivial":
+    if kind == "trivial" or (kind == "C2" and ell == 2):
+        # only the trivial simple exists; length equals dimension
         out["1"] = dim
-    elif kind == "C2":
-        if ell == 2:
-            # only the trivial simple exists; length equals dimension
-            out["1"] = dim
-        else:
-            s = rep.action["s"]
-            out["1"] = _eigenspace_dim(s, 1, ell, dim)
-            out["eps"] = _eigenspace_dim(s, ell - 1, ell, dim)
-            if out["1"] + out["eps"] != dim:
-                raise AssertionError("order-2 action failed to diagonalize")
+    elif kind == "C2" or ell == 3:
+        # s diagonalizes mod an odd ell; for S3 mod 3 the 3-cycle acts
+        # unipotently, so the simples factor through the quotient of order 2
+        s = rep.action["s"]
+        out["1"] = _eigenspace_dim(s, 1, ell, dim)
+        out["eps"] = _eigenspace_dim(s, ell - 1, ell, dim)
     elif ell == 2:
         # S3 mod 2: factors are "1" and the (still simple) 2-dimensional
         # psi.  On psi the 3-cycle has no nonzero fixed vector while on
@@ -276,38 +273,19 @@ def composition_multiplicities(
             raise AssertionError("S3 mod-2 factor count came out fractional")
         out["1"] = a
         out["psi"] = (dim - a) // 2
-    elif ell == 3:
-        # S3 mod 3: the 3-cycle acts unipotently, simples factor through
-        # the quotient of order 2, and s diagonalizes composition factors
-        s = rep.action["s"]
-        out["1"] = _eigenspace_dim(s, 1, 3, dim)
-        out["eps"] = _eigenspace_dim(s, 2, 3, dim)
-        if out["1"] + out["eps"] != dim:
-            raise AssertionError("order-2 action failed to diagonalize mod 3")
     else:
-        # semisimple case: ranks of the two central idempotents give the
-        # linear multiplicities, psi soaks up the rest two at a time; the
-        # sign idempotent negates the words with an s (odd permutations)
-        if dim:
-            elems = rep.elements()
-            sym = [
-                [sum(m[i][j] for m in elems.values()) % ell for j in range(dim)]
-                for i in range(dim)
-            ]
-            alt = [
-                [
-                    sum(-m[i][j] if "s" in w else m[i][j] for w, m in elems.items())
-                    % ell
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
-            out["1"] = modp_rank(sym, ell)
-            out["eps"] = modp_rank(alt, ell)
-        rest = dim - out["1"] - out["eps"]
-        if rest < 0 or rest % 2:
+        # S3 at ell >= 5, with a, b, c copies of 1, eps, psi: psi restricts
+        # to one +1 and one -1 line of s, and t fixes no vector of psi as
+        # ell != 3, so ker(s - 1), ker(s + 1) and ker(t - 1) have
+        # dimensions a + c, b + c and a + b
+        s, t = rep.action["s"], rep.action["t"]
+        plus = _eigenspace_dim(s, 1, ell, dim)
+        minus = _eigenspace_dim(s, ell - 1, ell, dim)
+        fixed = _eigenspace_dim(t, 1, ell, dim)
+        a, odd = divmod(plus - minus + fixed, 2)
+        out["1"], out["eps"], out["psi"] = a, fixed - a, plus - a
+        if odd or min(out.values()) < 0:
             raise AssertionError("S3 multiplicity accounting failed")
-        out["psi"] = rest // 2
 
     if sum(CHARACTER_DIMS[lb] * v for lb, v in out.items()) != dim:
         raise AssertionError("composition factors do not fill the dimension")

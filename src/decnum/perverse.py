@@ -124,10 +124,11 @@ FLAVOR_CHAIN = (
 class ConeData(Record):
     """Link cohomology of a cone, keyed by raw degree.
 
-    completeness "full" means unlisted degrees vanish; a (lo, hi) pair
-    means only degrees lo..hi are known and each of them is listed
-    explicitly.  equivariant_degrees optionally attaches a symmetry
-    action to the torsion of a given degree.
+    completeness "full" means all raw degrees are known (_bounds() is
+    (-inf, inf)) and unlisted ones vanish; a (lo, hi) pair means only
+    degrees lo..hi are known and each of them is listed.  Either way
+    known_degrees() are the listed degrees.  equivariant_degrees
+    optionally attaches a symmetry action to the torsion of a degree.
     """
 
     __slots__ = ("label", "open_dim", "link_cohomology", "completeness",
@@ -174,20 +175,17 @@ class ConeData(Record):
                     f"action group at degree {deg} does not match link torsion"
                 )
 
+    def _bounds(self) -> tuple[float, float]:
+        """Lowest and highest known raw degree."""
+        return (-math.inf, math.inf) if self.completeness == "full" else self.completeness
+
     def entry_or_none(self, deg: int) -> LinkEntry | None:
         """The entry at a raw degree, or None if outside the known window."""
-        if self.completeness == "full":
-            return self.link_cohomology.get(deg, ZERO_ENTRY)
-        lo, hi = self.completeness
-        if lo <= deg <= hi:
-            return self.link_cohomology[deg]
-        return None
+        lo, hi = self._bounds()
+        return self.link_cohomology.get(deg, ZERO_ENTRY) if lo <= deg <= hi else None
 
     def known_degrees(self) -> tuple[int, ...]:
-        if self.completeness == "full":
-            return tuple(sorted(self.link_cohomology))
-        lo, hi = self.completeness
-        return tuple(range(lo, hi + 1))
+        return tuple(sorted(self.link_cohomology))
 
 
 def _require(entry: LinkEntry | None, what: str) -> LinkEntry:
@@ -318,8 +316,7 @@ def _band(c: ConeData, cap: float = math.inf, ell: int | None = None,
 
 def _check_covered(c: ConeData, f: ExtensionFlavor) -> None:
     """Refuse unless the known band reaches one degree past f's threshold."""
-    top = c.open_dim + f.shifted_threshold
-    if c.completeness != "full" and top + 1 > c.completeness[1]:
+    if c.open_dim + f.shifted_threshold + 1 > c._bounds()[1]:
         raise ConeError(
             "insufficient link data: window does not cover the "
             f"truncation threshold for {f.label()}"
@@ -328,7 +325,7 @@ def _check_covered(c: ConeData, f: ExtensionFlavor) -> None:
 
 def _floor(c: ConeData) -> float:
     """Lowest shifted degree the link data speaks for (-inf when full)."""
-    return -math.inf if c.completeness == "full" else c.completeness[0] - c.open_dim
+    return c._bounds()[0] - c.open_dim
 
 
 def _localize(torsion: tuple[int, ...], ell: int) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ invariant factors agree either way.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, lcm
 from struct import iter_unpack
 
@@ -267,19 +268,26 @@ def _decode_roots(row_support, ls, highest: tuple[int, ...]):
     return roots, upper[::-1] + upper
 
 
-def _validate_cartan(c: Matrix) -> None:
+def _cartan_rows(c: Matrix) -> list[list[tuple[int, int]]]:
+    """The nonzero entries (j, C[i][j]) of each row i of c, which is
+    checked on them alone to be a generalized Cartan matrix.  The first
+    fault in row-major order is refused: a row's diagonal before its
+    entries, and at one entry a positive value before an asymmetric
+    zero pattern."""
     n = len(c)
     if len(c[0]) != n:
         raise ValueError("Cartan matrix must be square")
-    for i in range(n):
-        if c[i][i] != 2:
-            raise ValueError("Cartan diagonal must be 2")
-        for j in range(n):
-            if i != j:
-                if c[i][j] > 0:
-                    raise ValueError("positive off-diagonal Cartan entry")
-                if (c[i][j] == 0) != (c[j][i] == 0):
-                    raise ValueError("asymmetric Cartan zero pattern")
+    cols = range(n)
+    rows = [list(zip(compress(cols, row), compress(row, row))) for row in c]
+    support = {(i, j) for i, row in enumerate(rows) for j, _ in row}
+    # (row, column or -1 for the diagonal, the message's index below)
+    faults = [(i, -1, 0) for i in cols if c[i][i] != 2]
+    faults += [(i, j, 1) for i, row in enumerate(rows) for j, x in row if x > 0 and j != i]
+    faults += [(i, j, 2) for i, j in support ^ {(j, i) for i, j in support}]
+    if faults:
+        raise ValueError(("Cartan diagonal must be 2", "positive off-diagonal Cartan entry",
+                          "asymmetric Cartan zero pattern")[min(faults)[2]])
+    return rows
 
 
 def _finite_components(c: Matrix, row_support):
@@ -383,10 +391,9 @@ def generate_roots(cartan) -> RootSystemData:
     ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1))
     """
     c = intmat.freeze(cartan)
-    _validate_cartan(c)
     n = len(c)
     # nonzero entries of each Cartan row: reflection i changes only these pairings
-    row_support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
+    row_support = _cartan_rows(c)
     split = _finite_components(c, row_support)
     bound = max(240, 2 * n * n)
     if split is None or sum(size * (1 + sum(theta.values()))

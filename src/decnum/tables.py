@@ -44,14 +44,8 @@ def subregular_grid() -> tuple[DynkinDiagram, ...]:
 
 
 def minimal_grid() -> tuple[DynkinDiagram, ...]:
-    return tuple(
-        [DynkinDiagram("A", n) for n in range(1, 11)]
-        + [DynkinDiagram("B", n) for n in range(2, 9)]
-        + [DynkinDiagram("C", n) for n in range(2, 9)]
-        + [DynkinDiagram("D", n) for n in range(4, 11)]
-        + [DynkinDiagram("E", n) for n in (6, 7, 8)]
-        + [DynkinDiagram("F", 4), DynkinDiagram("G", 2)]
-    )
+    return tuple(sorted(simple_grid() + subregular_grid(),
+                        key=lambda d: (d.series, d.rank)))
 
 
 def _sub(d: DynkinDiagram) -> str:
@@ -80,16 +74,11 @@ def _simple_rule(d: DynkinDiagram) -> tuple[int, int]:
 
 
 def _minimal_rule(d: DynkinDiagram) -> tuple[int, int]:
-    if d.series == "A":
-        return (1, d.rank + 1)
-    if d.series == "B":
-        return (1, d.rank)
-    if d.series == "C":
-        return (1, 2)
-    if d.series == "D":
-        return (2, 2) if d.rank % 2 == 0 else (1, 2)
-    return {("E", 6): (1, 3), ("E", 7): (1, 2), ("E", 8): (1, 1),
-            ("F", 4): (1, 3), ("G", 2): (1, 2)}[(d.series, d.rank)]
+    """(count, modulus) of the minimal cone: the simple rule when d is
+    simply laced (its long roots are all of its roots)."""
+    if d.simply_laced:
+        return _simple_rule(d)
+    return {"B": (1, d.rank), "C": (1, 2), "F": (1, 3), "G": (1, 2)}[d.series]
 
 
 def _check(cone: ConeData, rule: tuple[int, int], ell: int, got: int) -> int:

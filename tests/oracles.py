@@ -6,8 +6,11 @@ Fraction-based linear algebra for lattice membership and coset
 enumeration (no Smith reduction), closed-form root system numerology,
 a dense reflection closure for root systems (no carried pairings), a
 dense Smith reduction that carries its transforms (no operation log),
-and a submodule-lattice walk for composition factors (no character
-theory).  Values frozen in the tests were produced by these functions.
+a submodule-lattice walk for composition factors (no character
+theory), central idempotents for S3 factors (no eigenspaces), the McKay
+abelianisation for the middle link torsion (no Cartan matrix) and the
+dense generalized-Cartan check (no sparse rows).  Values frozen in
+the tests were produced by these functions.
 """
 
 from __future__ import annotations
@@ -261,6 +264,25 @@ HIGHEST_ROOT = {
 }
 
 
+def reference_validate_cartan(c) -> None:
+    """The dense generalized-Cartan check: the first failing (i, j) in
+    row-major order names the ValueError, the diagonal of a row before
+    its entries and, at one entry, a positive value before an
+    asymmetric zero pattern.  O(n^2) for any sparsity."""
+    n = len(c)
+    if len(c[0]) != n:
+        raise ValueError("Cartan matrix must be square")
+    for i in range(n):
+        if c[i][i] != 2:
+            raise ValueError("Cartan diagonal must be 2")
+        for j in range(n):
+            if i != j:
+                if c[i][j] > 0:
+                    raise ValueError("positive off-diagonal Cartan entry")
+                if (c[i][j] == 0) != (c[j][i] == 0):
+                    raise ValueError("asymmetric Cartan zero pattern")
+
+
 def reference_root_system(cartan):
     """Dense reflection closure: (roots, lengths, highest_root, dual_coxeter).
 
@@ -465,6 +487,58 @@ def brute_composition_factors(action: dict, dim: int, p: int) -> Counter:
     result = Counter([label])
     result.update(brute_composition_factors(quotient, dim - k, p))
     return result
+
+
+def idempotent_s3_multiplicities(s, t, dim: int, p: int) -> dict[str, int]:
+    """Multiplicities of "1", "eps" and "psi" in an S3 representation
+    over F_p, p >= 5, by its central idempotents.
+
+    Such a representation is semisimple (p does not divide 6).  The sum
+    of the six group elements is 6 times the projection onto the
+    trivial part, and the sum with the odd words (those with an s)
+    negated is 6 times the projection onto the sign part, so their ranks
+    count "1" and "eps"; "psi" takes the rest, two dimensions each.
+    """
+    def mul(a, b):
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+    def rank(m):
+        basis: list[list[int]] = []
+        return sum(_echelon_insert(basis, row, p) for row in m)
+
+    e = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    tt = mul(t, t)
+    even, odd = (e, t, tt), (s, mul(s, t), mul(s, tt))
+    total = [[sum(m[i][j] for m in even + odd) % p for j in range(dim)]
+             for i in range(dim)]
+    signed = [[(sum(m[i][j] for m in even) - sum(m[i][j] for m in odd)) % p
+               for j in range(dim)] for i in range(dim)]
+    one, eps = rank(total), rank(signed)
+    rest = dim - one - eps
+    assert rest >= 0 and rest % 2 == 0, "S3 idempotent accounting failed"
+    return {"1": one, "eps": eps, "psi": rest // 2}
+
+
+# ------------------------------------------------------------- McKay route
+
+def mckay_abelianisation(series: str, rank: int) -> tuple[int, ...]:
+    """Invariant factors of Gamma^ab, Gamma the binary polyhedral group
+    of the simply-laced type series + rank, without a Cartan matrix.
+
+    The link of C^2/Gamma is S^3/Gamma, so Gamma^ab is its H^2.  Gamma
+    is cyclic of order n + 1 for A_n.  Otherwise it is
+    <a, b, c | a^p = b^q = c^r = abc> with (p, q, r) = (2, 2, n - 2) for
+    D_n and (2, 3, k - 3) for E_k, and Gamma^ab is the cokernel of the
+    relation matrix below, reduced by dense_reduction.
+    """
+    if series == "A":
+        return (rank + 1,)
+    p, q, r = (2, 2, rank - 2) if series == "D" else (2, 3, rank - 3)
+    relations = [[p - 1, -1, -1], [-1, q - 1, -1], [-1, -1, r - 1]]
+    divisors, free, _ = dense_cokernel(dense_reduction(relations))
+    assert not free, "binary polyhedral groups are finite"
+    return divisors
 
 
 # ------------------------------------------------------------ stalk calculus

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
+from decnum import modrep
 from decnum.intmat import FinAbGroup, determinant, identity, transpose
 from decnum.modrep import (
     CHARACTER_DIMS,
@@ -287,6 +289,38 @@ def test_multiplicities_match_brute_force_random_conjugates():
         if ell not in (2, 3):
             n1, neps, npsi = counts
             assert got == {"1": n1, "eps": neps, "psi": npsi}
+
+
+def test_s3_eigenspace_counts_match_the_idempotent_route():
+    """a 1 + b eps + c psi, hidden by a random change of basis: for
+    ell >= 5 the eigenspace counts give (a, b, c), as the central
+    idempotents of the reference do."""
+    rng = random.Random(1414)
+    checked = 0
+    for ell in (5, 7, 11, 13):
+        for counts in product(range(4), repeat=3):
+            plain = s3_blocks(ell, counts)
+            for _ in range(4):
+                rep = conjugate(plain, random_invertible(rng, plain.dim, ell))
+                got = composition_multiplicities(rep)
+                assert got == dict(zip(("1", "eps", "psi"), counts)), (ell, rep.action)
+                assert got == oracles.idempotent_s3_multiplicities(
+                    rep.action["s"], rep.action["t"], rep.dim, ell)
+                checked += 1
+    assert checked == 4 * 64 * 4
+
+
+@pytest.mark.parametrize("plus, minus, fixed", [(2, 1, 2), (1, 3, 0)])
+def test_s3_eigenspace_counts_refuse_odd_or_negative(monkeypatch, plus, minus, fixed):
+    # no S3 representation has these eigenspaces: the first sum is odd,
+    # the second gives [1] = -1
+    dims = {("s", 1): plus, ("s", 4): minus, ("t", 1): fixed}
+    rep = s3_blocks(5, (1, 1, 1))
+    labels = {id(m): label for label, m in rep.action.items()}
+    monkeypatch.setattr(modrep, "_eigenspace_dim",
+                        lambda m, scalar, p, dim: dims[labels[id(m)], scalar])
+    with pytest.raises(AssertionError, match="S3 multiplicity accounting failed"):
+        composition_multiplicities(rep)
 
 
 def test_multiplicities_random_c2():

@@ -261,6 +261,47 @@ def test_generate_roots_rejects_bad_input():
         assert str(e.value) == _bound_message(len(c)), c
 
 
+def _near_cartan(rng, n):
+    # a symmetric zero pattern of negative entries around a diagonal of
+    # 2, then up to three entries overwritten, which may break any rule
+    # (int(k * random()) is a uniform draw below k at a fraction of the
+    # cost of randint, which matters over 100,000 matrices)
+    r = rng.random
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        c[i][i] = 2
+        for j in range(i):
+            if r() < 0.5:
+                c[i][j], c[j][i] = -1 - int(3 * r()), -1 - int(3 * r())
+    for _ in range(int(4 * r())):
+        c[int(n * r())][int(n * r())] = int(6 * r()) - 3
+    return c
+
+
+def _outcome(check, c):
+    try:
+        return check(c)
+    except ValueError as e:
+        return str(e)
+
+
+def test_cartan_check_matches_the_dense_loop():
+    """The sparse check raises the dense loop's message, so the first
+    fault in row-major order still names it, and it passes exactly the
+    matrices the loop passes, with each row's nonzero entries."""
+    rng = random.Random(1212)
+    failed = 0
+    for _ in range(100_000):
+        c = _near_cartan(rng, 1 + int(5 * rng.random()))
+        want = _outcome(oracles.reference_validate_cartan, c)
+        if want is None:
+            want = [[(j, x) for j, x in enumerate(row) if x] for row in c]
+        else:
+            failed += 1
+        assert _outcome(rootsys._cartan_rows, c) == want, c
+    assert 50_000 < failed < 90_000
+
+
 def _bound_message(n):
     bound = max(240, 2 * n * n)
     return (f"reflection closure exceeded the safety bound of {bound} roots "

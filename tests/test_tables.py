@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 
-from decnum import intmat
+from decnum import intmat, tables
+from decnum.perverse import link_cohomology_simple
+from decnum.rootsys import DynkinDiagram
 from decnum.tables import (
     GRID_PRIMES,
+    middle_group,
     minimal_grid,
     minimal_table,
     paper_tables,
@@ -19,6 +22,8 @@ from decnum.tables import (
     unicode_group,
 )
 
+import oracles
+
 
 def test_grids():
     assert GRID_PRIMES == (2, 3, 5, 7)
@@ -27,6 +32,51 @@ def test_grids():
     assert len(minimal_grid()) == 36
     assert [str(d) for d in simple_grid()[:3]] == ["A1", "A2", "A3"]
     assert str(subregular_grid()[-1]) == "G2"
+
+
+# the minimal grid as it was written out before minimal_grid() became the
+# simple and subregular grids merged in (series, rank) order
+EXPLICIT_MINIMAL_GRID = (
+    "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10",
+    "B2", "B3", "B4", "B5", "B6", "B7", "B8",
+    "C2", "C3", "C4", "C5", "C6", "C7", "C8",
+    "D4", "D5", "D6", "D7", "D8", "D9", "D10",
+    "E6", "E7", "E8", "F4", "G2",
+)
+
+
+def _explicit_minimal_rule(d):
+    # the minimal rule as it was tabulated before it read the simple rule
+    # for simply-laced types
+    if d.series == "A":
+        return (1, d.rank + 1)
+    if d.series == "B":
+        return (1, d.rank)
+    if d.series == "C":
+        return (1, 2)
+    if d.series == "D":
+        return (2, 2) if d.rank % 2 == 0 else (1, 2)
+    return {("E", 6): (1, 3), ("E", 7): (1, 2), ("E", 8): (1, 1),
+            ("F", 4): (1, 3), ("G", 2): (1, 2)}[(d.series, d.rank)]
+
+
+def test_derived_minimal_tables_match_the_explicit_ones():
+    assert tuple(map(str, minimal_grid())) == EXPLICIT_MINIMAL_GRID
+    types = set(minimal_grid())
+    types.update(DynkinDiagram(s, n) for s in "BC" for n in range(2, 41))
+    for d in types:
+        assert tables._minimal_rule(d) == _explicit_minimal_rule(d), d
+
+
+def test_middle_torsion_is_the_mckay_abelianisation():
+    """H^2 of the link S^3/Gamma is Gamma^ab, computed from the binary
+    polyhedral presentation, never from a Cartan matrix."""
+    types = ([DynkinDiagram("A", n) for n in range(1, 61)]
+             + [DynkinDiagram("D", n) for n in range(4, 61)]
+             + [DynkinDiagram("E", n) for n in (6, 7, 8)])
+    for d in types:
+        group = middle_group(link_cohomology_simple(d))
+        assert group.divisors == oracles.mckay_abelianisation(d.series, d.rank), d
 
 
 def test_unicode_group():

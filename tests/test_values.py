@@ -1,8 +1,10 @@
-"""Value semantics of the package's record classes, and the import weight
-of a cold command-line request."""
+"""Value semantics of the package's record classes, the import weight of
+a cold command-line request, and the library's standard-library-only
+imports."""
 
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
 import os
@@ -193,3 +195,20 @@ def test_cold_cli_import_stays_light():
     heavy, layers = done.stdout.splitlines()
     assert heavy == "[]"
     assert layers == repr(sorted(LAYERS))
+
+
+def test_library_imports_only_the_standard_library():
+    # decnum has no dependencies: every import is relative or names a
+    # standard-library module
+    paths = sorted((SRC / "decnum").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
