@@ -5,8 +5,11 @@ Python ints (arbitrary precision, so coefficient growth during reduction
 can never overflow or wrap).  Inputs are accepted as any nested sequence
 of ints and frozen on entry; no function mutates its arguments.
 
-Smith reduction works on sparse rows, so an elementary operation costs
-the nonzero entries it touches, and it logs each operation instead of
+Smith reduction works on sparse rows in one loop that makes no call
+per elementary operation: a row or column addition updates the entries
+it touches, and their column sets, in place, so it costs those nonzero
+entries, and the pivot scan takes each row's least (magnitude, column)
+pair in one min() call.  The loop logs each operation instead of
 carrying the transforms u and v.  A caller replays the log only for
 the rows it reads, at O(1) per operation and row: cokernel the rows of
 u with invariant factor other than 1 (at most two for a Cartan matrix),
@@ -261,102 +264,109 @@ def _reduce(m: Matrix) -> tuple[list[dict[int, int]], list, list]:
 
     Each row of a is a dict {column: nonzero entry}, and cols[j] is the
     set of rows with a nonzero entry in column j.  The pivot rule is
-    row-major order, least magnitude, stopping at the first unit, so
-    the operations are those of a dense reduction.  They are logged,
-    not applied to transforms: see _replay.
+    row-major order, least magnitude, least column within a row,
+    stopping at the first row with a unit, so the operations are those
+    of a dense reduction.  Swaps, additions and the witness step are
+    written out in the loop, with no helper call per operation; they are
+    logged, not applied to transforms: see _replay.
     """
     columns = range(len(m[0]))
-    a = [dict(zip(compress(columns, row), compress(row, row))) for row in m]
-    cols = [set() for _ in m[0]]
+    a = [{j: row[j] for j in compress(columns, row)} for row in m]
+    cols = [set() for _ in columns]
     for i, row in enumerate(a):
         for j in row:
             cols[j].add(i)
     rowlog, collog = [], []
-
-    def row_swap(i, j):
-        if i != j:
-            for k in a[i].keys() ^ a[j].keys():
-                cols[k] ^= {i, j}
-            a[i], a[j] = a[j], a[i]
-            rowlog.append((i, j, 0))
-
-    def col_swap(i, j):
-        if i != j:
-            for r in cols[i] | cols[j]:
-                row = a[r]
-                x, y = row.pop(i, 0), row.pop(j, 0)
-                if x:
-                    row[j] = x
-                if y:
-                    row[i] = y
-            cols[i], cols[j] = cols[j], cols[i]
-            collog.append((i, j, 0))
-
-    def add(row, r, k, x):
-        # row r gains x in column k
-        x += row.get(k, 0)
-        if x:
-            if k not in row:
-                cols[k].add(r)
-            row[k] = x
-        else:
-            del row[k]
-            cols[k].discard(r)
-
-    def pivot_to(s):
-        # the nonzero entry of least magnitude, row-major, in rows s on
-        # (their entries left of column s are already cleared)
-        best = None
-        for i in range(s, len(a)):
-            if a[i]:
-                e, j = min((abs(x), j) for j, x in a[i].items())
-                if best is None or e < best[0]:
-                    best = (e, i, j)
-                    if e == 1:
-                        break
-        if best is not None:
-            row_swap(s, best[1])
-            col_swap(s, best[2])
-        return best
-
-    for s in range(min(len(a), len(cols))):
-        if pivot_to(s) is None:
-            break
+    n = len(a)
+    for s in range(min(n, len(cols))):
+        repivot = True
         while True:
-            p = a[s][s]
+            if repivot:
+                # move the pivot to (s, s); rows s on hold the whole block
+                e = 0
+                for i in range(s, n):
+                    if a[i]:
+                        x, k = min(zip(map(abs, a[i].values()), a[i]))
+                        if not e or x < e:
+                            e, r, j = x, i, k
+                            if x == 1:
+                                break
+                if not e:
+                    return a, rowlog, collog
+                if r != s:
+                    for k in a[s].keys() ^ a[r].keys():
+                        cols[k] ^= {s, r}
+                    a[s], a[r] = a[r], a[s]
+                    rowlog.append((s, r, 0))
+                if j != s:
+                    for i in cols[s] | cols[j]:
+                        row = a[i]
+                        if s not in row:
+                            row[s] = row.pop(j)
+                        elif j not in row:
+                            row[j] = row.pop(s)
+                        else:
+                            row[s], row[j] = row[j], row[s]
+                    cols[s], cols[j] = cols[j], cols[s]
+                    collog.append((s, j, 0))
+            pivot, column = a[s], cols[s]
+            p = pivot[s]
             if p < 0:
-                a[s] = {k: -x for k, x in a[s].items()}
+                for k in pivot:
+                    pivot[k] = -pivot[k]
                 rowlog.append((s, s, -1))
                 p = -p
-            # clear column s below and row s to the right; floor quotients
-            # leave remainders in [0, pivot), so magnitudes shrink each pass
-            dirty = False
-            for i in sorted(cols[s] - {s}):
-                q = -(a[i][s] // p)
+            # clear column s below and row s to the right; rows and columns
+            # left of s are clear, so s sorts first.  Floor quotients leave
+            # remainders in [0, pivot), so magnitudes shrink each pass
+            for i in sorted(column)[1:]:
+                row = a[i]
+                q = -(row[s] // p)
                 if q:
-                    for k, y in a[s].items():
-                        add(a[i], i, k, q * y)
+                    for k, y in pivot.items():
+                        if k in row:
+                            x = row[k] + q * y
+                            if x:
+                                row[k] = x
+                            else:
+                                del row[k]
+                                cols[k].remove(i)
+                        else:
+                            row[k] = q * y
+                            cols[k].add(i)
                     rowlog.append((i, s, q))
-                dirty = dirty or s in a[i]
-            for j in sorted(a[s].keys() - {s}):
-                q = -(a[s][j] // p)
+            for j in sorted(pivot)[1:]:
+                q = -(pivot[j] // p)
                 if q:
-                    for r in list(cols[s]):
-                        add(a[r], r, j, q * a[r][s])
+                    for i in column:
+                        row = a[i]
+                        if j in row:
+                            x = row[j] + q * row[s]
+                            if x:
+                                row[j] = x
+                            else:
+                                del row[j]
+                                cols[j].remove(i)
+                        else:
+                            row[j] = q * row[s]
+                            cols[j].add(i)
                     collog.append((s, j, q))
-                dirty = dirty or j in a[s]
-            if dirty:
-                pivot_to(s)
+            repivot = len(column) > 1 or len(pivot) > 1
+            if repivot:
                 continue
             # cross is clear; enforce pivot | rest of block (a unit divides all)
             if p == 1:
                 break
-            witness = next((i for i in range(s + 1, len(a))
-                            if any(x % p for x in a[i].values())), None)
-            if witness is None:
+            for witness in range(s + 1, n):
+                if any(map(p.__rmod__, a[witness].values())):
+                    break
+            else:
                 break
-            for k, y in a[witness].items():
-                add(a[s], s, k, y)
+            # row s is p e_s and the witness row is 0 in column s, so their
+            # sum adds the witness row's entries as new ones
+            pivot.update(a[witness])
+            for k in a[witness]:
+                cols[k].add(s)
             rowlog.append((s, witness, 1))
     return a, rowlog, collog
 
@@ -427,19 +437,16 @@ def cokernel(m: Sequence[Sequence[int]]) -> tuple[FinAbGroup, Matrix]:
     a, rowlog, _ = _reduce(freeze(m))
     rows = len(a)
     eff = _effective_diagonal(a)
-    torsion_idx = [i for i, d in enumerate(eff) if d >= 2]
-    free_idx = [i for i, d in enumerate(eff) if d == 0]
-    group = FinAbGroup(tuple([eff[i] for i in torsion_idx]), len(free_idx))
-    # only the rows of u with eff != 1 are read.  Tuples come from lists:
-    # tuple(generator) resizes a guess, which fills CPython's tuple free lists
+    divisors = [d for d in eff if d >= 2]
+    group = FinAbGroup(tuple(divisors), eff.count(0))
+    # only the rows of u with eff != 1 are read, torsion before free as in
+    # eff: they are the projection's columns.  Tuples come from zip and
+    # lists: tuple(iterator) resizes a guess, which fills CPython's tuple
+    # free lists
     rowlog.reverse()
-    u = {i: _replay(rowlog, _unit(rows, i)) for i in torsion_idx + free_idx}
-    proj = tuple([
-        tuple([u[i][k] % eff[i] for i in torsion_idx])
-        + tuple([u[i][k] for i in free_idx])
-        for k in range(rows)
-    ])
-    return group, proj
+    u = [_replay(rowlog, _unit(rows, i)) for i, d in enumerate(eff) if d != 1]
+    u[:len(divisors)] = [list(map(d.__rmod__, x)) for d, x in zip(divisors, u)]
+    return group, tuple(list(zip(*u)) or [()] * rows)
 
 
 def induced_endomorphism(

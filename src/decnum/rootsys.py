@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd, lcm
+from operator import mul
 from struct import iter_unpack
 
 from . import intmat
@@ -278,12 +279,19 @@ def _cartan_rows(c: Matrix) -> list[list[tuple[int, int]]]:
     if len(c[0]) != n:
         raise ValueError("Cartan matrix must be square")
     cols = range(n)
-    rows = [list(zip(compress(cols, row), compress(row, row))) for row in c]
-    support = {(i, j) for i, row in enumerate(rows) for j, _ in row}
-    # (row, column or -1 for the diagonal, the message's index below)
-    faults = [(i, -1, 0) for i in cols if c[i][i] != 2]
-    faults += [(i, j, 1) for i, row in enumerate(rows) for j, x in row if x > 0 and j != i]
-    faults += [(i, j, 2) for i, j in support ^ {(j, i) for i, j in support}]
+    rows = [[(j, row[j]) for j in compress(cols, row)] for row in c]
+    # (row, column or -1 for the diagonal, the message's index below); an
+    # entry whose mirror is 0 faults at both, first at the upper one
+    faults = []
+    for i, row in enumerate(rows):
+        if c[i][i] != 2:
+            faults.append((i, -1, 0))
+        for j, x in row:
+            if (x > 0 or not c[j][i]) and j != i:
+                if x > 0:
+                    faults.append((i, j, 1))
+                if not c[j][i]:
+                    faults.append((min(i, j), max(i, j), 2))
     if faults:
         raise ValueError(("Cartan diagonal must be 2", "positive off-diagonal Cartan entry",
                           "asymmetric Cartan zero pattern")[min(faults)[2]])
@@ -291,10 +299,11 @@ def _cartan_rows(c: Matrix) -> list[list[tuple[int, int]]]:
 
 
 def _finite_components(c: Matrix, row_support):
-    """(ls, tops), or None when some connected component of the diagram
-    is not of finite type.  ls[i] > 0 with C[i][j] L[j] == C[j][i] L[i],
-    scaled per component; tops holds (size, long simple root, highest
-    root as {node: coefficient}) per component.
+    """(ls, theta, tops), or None when some connected component of the
+    diagram is not of finite type.  ls[i] > 0 with C[i][j] L[j] ==
+    C[j][i] L[i], scaled per component; theta[i] is the coefficient of
+    a_i in the highest root of i's component; tops holds (size, long
+    simple root, height of the highest root) per component.
 
     A connected generalized Cartan matrix is of finite type iff its
     diagram is a tree (so L follows the edges) and B[i][j] = C[i][j] L[j]
@@ -303,70 +312,72 @@ def _finite_components(c: Matrix, row_support):
     integer fractions in lowest terms, come from one pass up the
     breadth-first order.  The highest root is the dominant root in the
     Weyl orbit of a long simple root (Humphreys 10.4 Lemma A), which the
-    closure's raising reflections reach.
+    closure's raising reflections reach.  Components are disjoint, so
+    every per-node quantity lives in one list indexed by node.
     """
     n = len(c)
     ls = [0] * n  # 0 until the node's component is scaled
-    parent = [0] * n
+    parent, num, den, theta, pairing = [0] * n, [0] * n, [0] * n, [0] * n, [0] * n
     tops = []
     for first in range(n):
         if ls[first]:
             continue
         # breadth-first over the component, L as fractions in lowest terms
         order = [first]
-        ratio = {first: (1, 1)}
+        num[first] = den[first] = 1
         ends = 0
         for i in order:
-            num, den = ratio[i]
             for j, x in row_support[i]:
                 if j == i:
                     continue
                 ends += 1
-                if j not in ratio:
+                if not den[j]:
                     # C[i][j] L[j] == C[j][i] L[i]; both entries are negative
-                    p, q = -num * c[j][i], -den * x
+                    p, q = -num[i] * c[j][i], -den[i] * x
                     g = gcd(p, q)
-                    ratio[j] = (p // g, q // g)
+                    num[j], den[j] = p // g, q // g
                     parent[j] = i
                     order.append(j)
         # a tree has one edge fewer than nodes, and each edge has two ends
         if ends != 2 * len(order) - 2:
             return None
-        scale = lcm(*[q for _, q in ratio.values()])
-        for i, (p, q) in ratio.items():
-            ls[i] = p * (scale // q)
-        pivot = {i: (2 * ls[i], 1) for i in order}
+        scale = lcm(*[den[i] for i in order])
+        for i in order:
+            ls[i] = num[i] * (scale // den[i])
+            num[i], den[i] = 2 * ls[i], 1  # the pivots from here on
         for i in reversed(order):
-            a, b = pivot[i]
+            a, b = num[i], den[i]
             if a <= 0:
                 return None
             if i != first:
                 up = parent[i]
                 x = c[up][i] * ls[i]  # B[up][i] == B[i][up]
-                e, f = pivot[up]
-                num, den = e * a - x * x * b * f, f * a
-                g = gcd(num, den)
-                pivot[up] = (num // g, den // g)
+                e, f = num[up], den[up]
+                p, q = e * a - x * x * b * f, f * a
+                g = gcd(p, q)
+                num[up], den[up] = p // g, q // g
         start = max(order, key=ls.__getitem__)
-        theta = {start: 1}
-        pairing = dict(row_support[start])
-        stack = [j for j, p in pairing.items() if p < 0]
+        theta[start] = height = 1
+        for j, x in row_support[start]:
+            pairing[j] = x
+        stack = [j for j, x in row_support[start] if x < 0]
         while stack:
             i = stack.pop()
             p = pairing[i]
             if p >= 0:
                 continue
-            k = theta.get(i, 0) - p
+            k = theta[i] - p
             if k > 6:  # above E8's highest root: no finite type
                 return None
             theta[i] = k
+            height -= p
             for j, x in row_support[i]:
-                y = pairing.get(j, 0) - p * x
+                y = pairing[j] - p * x
                 pairing[j] = y
                 if y < 0:
                     stack.append(j)
-        tops.append((len(order), start, theta))
-    return ls, tops
+        tops.append((len(order), start, height))
+    return ls, theta, tops
 
 
 def generate_roots(cartan) -> RootSystemData:
@@ -396,17 +407,16 @@ def generate_roots(cartan) -> RootSystemData:
     row_support = _cartan_rows(c)
     split = _finite_components(c, row_support)
     bound = max(240, 2 * n * n)
-    if split is None or sum(size * (1 + sum(theta.values()))
-                            for size, _, theta in split[1]) > bound:
+    if split is None or sum([size * (1 + height) for size, _, height in split[2]]) > bound:
         raise ValueError(f"reflection closure exceeded the safety bound of {bound} "
                          f"roots for rank {n}; not a finite type")
-    ls, tops = split
+    ls, theta, tops = split
     if len(tops) > 1:
         raise ValueError("Cartan matrix is not connected")
-    _, start, theta = tops[0]
-    highest = tuple([theta.get(i, 0) for i in range(n)])
+    start = tops[0][1]
+    highest = tuple(theta)
     # h^vee = 1 + sum_i highest[i] (a_i, a_i) / (theta, theta)
-    weight, rest = divmod(sum([h * ls[i] for i, h in theta.items()]), ls[start])
+    weight, rest = divmod(sum(map(mul, theta, ls)), ls[start])
     if rest:
         raise AssertionError("dual Coxeter number came out non-integral")
     rs = RootSystemData.__new__(RootSystemData)
@@ -465,7 +475,7 @@ def long_root_subsystem(d: DynkinDiagram) -> DynkinDiagram:
         return d
     ls = _length_squares(d)
     top = max(ls)
-    nodes = [i for i, v in enumerate(ls) if v == top]
+    nodes = {i for i, v in enumerate(ls) if v == top}
     edges = [(i, j) for i, j in _edges(d) if i in nodes and j in nodes]
     # sanity: the induced graph must be a path on these nodes
     degree = {i: 0 for i in nodes}

@@ -6,8 +6,9 @@ Fraction-based linear algebra for lattice membership and coset
 enumeration (no Smith reduction), closed-form root system numerology,
 a dense reflection closure for root systems (no carried pairings), a
 dense Smith reduction that carries its transforms (no operation log),
-a submodule-lattice walk for composition factors (no character
-theory), central idempotents for S3 factors (no eigenspaces), the McKay
+the logged sparse reduction with one helper call per elementary step
+(no inlined loop), a submodule-lattice walk for composition factors
+(no character theory), central idempotents for S3 factors (no eigenspaces), the McKay
 abelianisation for the middle link torsion (no Cartan matrix) and the
 dense generalized-Cartan check (no sparse rows).  Values frozen in
 the tests were produced by these functions.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import lcm
 
 from decnum import omodule
@@ -229,6 +230,114 @@ def dense_induced(st, g):
                         f"(coordinate ({i}, {j}))")
     tor = [i for i, d in enumerate(eff) if d >= 2]
     return tuple(tuple(h[i][j] % eff[i] for j in tor) for i in tor)
+
+
+
+def reference_sparse_reduction(m):
+    """intmat's logged sparse Smith reduction as it stood before its
+    elimination loop was inlined: (rows, row log, column log).
+
+    Each elementary step goes through a small helper, and every entry
+    scanned for the pivot becomes an (abs, column) tuple, so the pivot
+    rule reads off directly: row-major order, least magnitude, least
+    column within a row, stopping at the first row holding a unit.
+    Each row of a is a dict {column: nonzero entry}, and cols[j] is the
+    set of rows with a nonzero entry in column j.
+    """
+    columns = range(len(m[0]))
+    a = [dict(zip(compress(columns, row), compress(row, row))) for row in m]
+    cols = [set() for _ in m[0]]
+    for i, row in enumerate(a):
+        for j in row:
+            cols[j].add(i)
+    rowlog, collog = [], []
+
+    def row_swap(i, j):
+        if i != j:
+            for k in a[i].keys() ^ a[j].keys():
+                cols[k] ^= {i, j}
+            a[i], a[j] = a[j], a[i]
+            rowlog.append((i, j, 0))
+
+    def col_swap(i, j):
+        if i != j:
+            for r in cols[i] | cols[j]:
+                row = a[r]
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                if x:
+                    row[j] = x
+                if y:
+                    row[i] = y
+            cols[i], cols[j] = cols[j], cols[i]
+            collog.append((i, j, 0))
+
+    def add(row, r, k, x):
+        # row r gains x in column k
+        x += row.get(k, 0)
+        if x:
+            if k not in row:
+                cols[k].add(r)
+            row[k] = x
+        else:
+            del row[k]
+            cols[k].discard(r)
+
+    def pivot_to(s):
+        # the nonzero entry of least magnitude, row-major, in rows s on
+        # (their entries left of column s are already cleared)
+        best = None
+        for i in range(s, len(a)):
+            if a[i]:
+                e, j = min((abs(x), j) for j, x in a[i].items())
+                if best is None or e < best[0]:
+                    best = (e, i, j)
+                    if e == 1:
+                        break
+        if best is not None:
+            row_swap(s, best[1])
+            col_swap(s, best[2])
+        return best
+
+    for s in range(min(len(a), len(cols))):
+        if pivot_to(s) is None:
+            break
+        while True:
+            p = a[s][s]
+            if p < 0:
+                a[s] = {k: -x for k, x in a[s].items()}
+                rowlog.append((s, s, -1))
+                p = -p
+            # clear column s below and row s to the right; floor quotients
+            # leave remainders in [0, pivot), so magnitudes shrink each pass
+            dirty = False
+            for i in sorted(cols[s] - {s}):
+                q = -(a[i][s] // p)
+                if q:
+                    for k, y in a[s].items():
+                        add(a[i], i, k, q * y)
+                    rowlog.append((i, s, q))
+                dirty = dirty or s in a[i]
+            for j in sorted(a[s].keys() - {s}):
+                q = -(a[s][j] // p)
+                if q:
+                    for r in list(cols[s]):
+                        add(a[r], r, j, q * a[r][s])
+                    collog.append((s, j, q))
+                dirty = dirty or j in a[s]
+            if dirty:
+                pivot_to(s)
+                continue
+            # cross is clear; enforce pivot | rest of block (a unit divides all)
+            if p == 1:
+                break
+            witness = next((i for i in range(s + 1, len(a))
+                            if any(x % p for x in a[i].values())), None)
+            if witness is None:
+                break
+            for k, y in a[witness].items():
+                add(a[s], s, k, y)
+            rowlog.append((s, witness, 1))
+    return a, rowlog, collog
 
 
 # -------------------------------------------------------------- root counts

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from decnum import rootsys
+from decnum import intmat, rootsys
 from decnum.intmat import (
     PRIME_BOUND,
     FinAbGroup,
@@ -238,6 +238,72 @@ def test_sparse_reduction_matches_dense_reference():
             rootsys.cartan_matrix(f.gamma_hat),
             [rootsys._permutation_matrix(p) for p in f.elements().values()],
         )
+
+
+def _dense_reference_matrices():
+    # the 600 matrices of test_sparse_reduction_matches_dense_reference:
+    # the same draws in the same order, endomorphisms drawn and dropped
+    rng = random.Random(4406)
+    for k in range(600):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = random_matrix(rng, rows, cols, rng.choice((1, 3, 12)))
+        if k % 4 == 0 and rows > 1:
+            m[-1] = [3 * x for x in m[0]]  # singular
+        for bound in [2] * cols + [3] * rows * rows + [2] * rows * rows:
+            rng.randint(-bound, bound)
+        yield m
+
+
+def _logged_branches(rowlog, collog):
+    """(dirty re-pivots, witness adds) in the logs of a reduction.  An
+    entry (i, j, q) belongs to step min(i, j), and swaps happen only in
+    a pivot search, so a swap logged after another operation of its
+    step is a re-pivot; a witness add is (s, w, 1) with w > s."""
+    repivots = 0
+    for log in (rowlog, collog):
+        begun = set()
+        for i, j, q in log:
+            if q:
+                begun.add(min(i, j))
+            elif min(i, j) in begun:
+                repivots += 1
+    return repivots, sum(1 for i, j, q in rowlog if q == 1 and i < j)
+
+
+def test_reduction_log_matches_the_reference_reduction():
+    """The inlined elimination loop leaves the rows, row log and column
+    log of the reference reduction, which calls a helper per step: on
+    the dense reference set, on sparse matrices up to 12x12 that take
+    both the re-pivot and the witness branch, and on every Cartan and
+    unfolding matrix up to rank 120."""
+    def same(m):
+        m = freeze(m)
+        got = intmat._reduce(m)
+        assert got == oracles.reference_sparse_reduction(m), m
+        return got
+
+    for m in _dense_reference_matrices():
+        same(m)
+    rng = random.Random(1313)
+    repivots = witnesses = 0
+    for _ in range(1500):
+        rows, cols, density = rng.randint(1, 12), rng.randint(1, 12), rng.random()
+        bound = rng.choice((2, 12, 60))
+        m = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(cols)] for _ in range(rows)]
+        r, w = _logged_branches(*same(m)[1:])
+        repivots += r
+        witnesses += w
+    assert repivots > 100 and witnesses > 100, (repivots, witnesses)
+    diagrams = [rootsys.DynkinDiagram(s, n) for s in "ABCD"
+                for n in range(rootsys.SERIES_MIN_RANK[s], 121)]
+    diagrams += [rootsys.DynkinDiagram(s, n) for s, n in sorted(rootsys.EXCEPTIONAL)]
+    matrices = {rootsys.cartan_matrix(d) for d in diagrams}
+    matrices |= {transpose(c) for c in matrices}
+    unfoldings = {rootsys.folding(d).gamma_hat for d in diagrams}
+    matrices |= {rootsys.cartan_matrix(d) for d in unfoldings if d.rank <= 120}
+    for c in sorted(matrices):
+        same(c)
 
 
 def test_determinant_bareiss():
