@@ -56,7 +56,7 @@ def identity(n: int) -> Matrix:
 
 
 def transpose(m: Sequence[Sequence[int]]) -> Matrix:
-    return tuple(zip(*freeze(m)))
+    return tuple([*zip(*freeze(m))])
 
 
 def multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -181,7 +181,8 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A Record whose fields are set once, by object.__setattr__ in __init__."""
+    """A Record whose fields are set once in __init__, by object.__setattr__
+    or by the slot descriptor's __set__."""
 
     __slots__ = ()
 
@@ -491,11 +492,12 @@ def induced_endomorphism(
 
 
 def _row_times(row: Sequence[int], m: Matrix) -> list[int]:
-    # the row vector row * m, over the nonzero entries of the rows it weights
+    # the row vector row * m, over the nonzero entries of the rows it
+    # weights, each row read in one pass as _reduce reads it
     out = [0] * len(m[0])
     cols = range(len(out))
     for x, mrow in zip(row, m):
         if x:
-            for j, y in zip(compress(cols, mrow), compress(mrow, mrow)):
-                out[j] += x * y
+            for j in compress(cols, mrow):
+                out[j] += x * mrow[j]
     return out

@@ -128,24 +128,25 @@ class ModularRep(_GroupAction):
     def __init__(self, ell: int, dim: int, action: dict[str, Matrix] | None = None) -> None:
         self.ell = ell
         self.dim = dim
-        self.action = {} if action is None else action
-        check_prime(self.ell)
-        if self.dim < 0:
+        self.action = action = {} if action is None else action
+        check_prime(ell)
+        if dim < 0:
             raise ValueError("negative dimension")
-        self._kind = _group_kind(self.action)
+        self._kind = _group_kind(action)
+        reduce = self._reduce
         fixed = {}
-        for label, m in self.action.items():
-            if self.dim:
-                m = self._reduce(freeze(m))
-                if len(m) != self.dim or len(m[0]) != self.dim:
-                    raise ValueError(f"generator {label} must be {self.dim}x{self.dim}")
-                if modp_rank(m, self.ell) != self.dim:
-                    raise ValueError(f"generator {label} is singular mod {self.ell}")
+        for label, m in action.items():
+            if dim:
+                m = reduce(freeze(m))
+                if len(m) != dim or len(m[0]) != dim:
+                    raise ValueError(f"generator {label} must be {dim}x{dim}")
+                if modp_rank(m, ell) != dim:
+                    raise ValueError(f"generator {label} is singular mod {ell}")
             else:
                 m = tuple()
             fixed[label] = m
         self.action = fixed
-        _check_relations(fixed, self.dim, self._reduce)
+        _check_relations(fixed, dim, reduce)
 
     def _reduce(self, m: Matrix) -> Matrix:
         ell = self.ell

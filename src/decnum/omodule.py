@@ -11,10 +11,11 @@ checked against a window, [-32, 32] by default, overridable through the
 DECNUM_DEGREE_WINDOW environment variable ("48" for symmetric bounds or
 "-4:64" for explicit ones).  Out-of-window degrees almost always mean a
 dropped or doubled shift upstream, so they fail loudly instead of
-propagating.  A graded constructor validates its input in one pass,
-reads the window once if any entry is nonzero, and sorts only input
-that arrives out of degree order; every producer here emits ascending
-degrees.
+propagating.  A graded constructor validates its input in one loop:
+it reads the window once, at the first nonzero entry, and tests each
+entry's type, zero-ness and degree inline, with no call per entry.  It
+sorts only input that arrives out of degree order; every producer here
+emits ascending degrees.
 """
 
 from __future__ import annotations
@@ -59,12 +60,8 @@ def degree_window() -> tuple[int, int]:
     return lo, hi
 
 
-def _check_degree(deg: int, window: tuple[int, int]) -> None:
-    lo, hi = window
-    if not lo <= deg <= hi:
-        raise DegreeWindowError(
-            f"degree {deg} outside support window [{lo}, {hi}]"
-        )
+def _outside(deg: int, lo: int, hi: int) -> DegreeWindowError:
+    return DegreeWindowError(f"degree {deg} outside support window [{lo}, {hi}]")
 
 
 class OModule(FrozenRecord):
@@ -82,12 +79,13 @@ class OModule(FrozenRecord):
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
         if not isinstance(rank, int) or rank < 0:
             raise ValueError(f"invalid rank {rank!r}")
-        tors = tuple(sorted(torsion, reverse=True))
-        for e in tors:
+        if type(torsion) is not tuple or len(torsion) > 1:
+            torsion = tuple(sorted(torsion, reverse=True))
+        for e in torsion:
             if not isinstance(e, int) or e < 1:
                 raise ValueError(f"invalid torsion exponent {e!r}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "torsion", tors)
+        _set_rank(self, rank)
+        _set_torsion(self, torsion)
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -102,6 +100,8 @@ class OModule(FrozenRecord):
         return " + ".join(parts) if parts else "0"
 
 
+_set_rank = OModule.rank.__set__
+_set_torsion = OModule.torsion.__set__
 ZERO = OModule(0, ())
 
 
@@ -114,9 +114,9 @@ class GradedOModule:
     __slots__ = ("_by_degree",)
 
     def __init__(self, modules: Mapping[int, OModule] | Iterable[tuple[int, OModule]]):
-        items = modules.items() if isinstance(modules, Mapping) else modules
+        items = modules.items() if isinstance(modules, (dict, Mapping)) else modules
         store: dict[int, OModule] = {}
-        window = None
+        lo = None
         ascending = True
         for deg, mod in items:
             if not isinstance(deg, int):
@@ -125,13 +125,14 @@ class GradedOModule:
                 raise ValueError(f"degree {deg}: expected OModule, got {mod!r}")
             if deg in store:
                 raise ValueError(f"degree {deg} listed twice")
-            if mod.is_zero():
+            if not mod.rank and not mod.torsion:
                 continue
-            if window is None:
-                window = degree_window()
+            if lo is None:
+                lo, hi = degree_window()
             elif deg < top:
                 ascending = False
-            _check_degree(deg, window)
+            if not lo <= deg <= hi:
+                raise _outside(deg, lo, hi)
             store[deg] = mod
             top = deg
         self._by_degree = store if ascending else dict(sorted(store.items()))
@@ -171,7 +172,7 @@ class FGraded:
 
     def __init__(self, dims: Mapping[int, int], coefficients: str = "F"):
         store: dict[int, int] = {}
-        window = None
+        lo = None
         ascending = True
         for deg, dim in dims.items():
             if not isinstance(deg, int) or not isinstance(dim, int):
@@ -179,11 +180,12 @@ class FGraded:
             if dim < 0:
                 raise ValueError(f"negative dimension at degree {deg}")
             if dim:
-                if window is None:
-                    window = degree_window()
+                if lo is None:
+                    lo, hi = degree_window()
                 elif deg < top:
                     ascending = False
-                _check_degree(deg, window)
+                if not lo <= deg <= hi:
+                    raise _outside(deg, lo, hi)
                 store[deg] = dim
                 top = deg
         self._dims = store if ascending else dict(sorted(store.items()))
@@ -238,11 +240,14 @@ def reduce_graded(g: GradedOModule, coefficients: str = "F") -> FGraded:
     {0: 1, 1: 1, 2: 1, 3: 1}
     """
     dims: dict[int, int] = {}
+    top = None
     for deg, m in g._by_degree.items():  # ascending, so dims is too
         t = len(m.torsion)
         if t:
-            dims[deg - 1] = dims.get(deg - 1, 0) + t
+            below = deg - 1
+            dims[below] = dims[below] + t if below == top else t
         dims[deg] = m.rank + t
+        top = deg
     return FGraded(dims, coefficients)
 
 

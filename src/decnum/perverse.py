@@ -188,12 +188,6 @@ class ConeData(Record):
         return tuple(sorted(self.link_cohomology))
 
 
-def _require(entry: LinkEntry | None, what: str) -> LinkEntry:
-    if entry is None:
-        raise ConeError(f"insufficient link data: {what}")
-    return entry
-
-
 def _surface_cone(label: str, group: FinAbGroup,
                   equivariant: dict[int, EquivariantAbGroup] | None = None) -> ConeData:
     """Full link data of a surface cone whose weight/root lattice
@@ -290,18 +284,19 @@ def _band(c: ConeData, cap: float = math.inf, ell: int | None = None,
           skip_unknown: bool = False) -> dict[int, OModule]:
     """The known link degrees up to raw degree cap, shifted by -d.
 
-    Zero entries are left out.  An entry of unknown rank refuses, or
-    with skip_unknown is passed over (it is torsion-free, so its only
-    trace after reduction mod pi would be its unknown rank).  With ell
-    the integral torsion is localized at ell.
+    One walk over the sorted link degrees, each entry read once, so the
+    result is ascending too.  Zero entries are left out.  An entry of
+    unknown rank refuses, or with skip_unknown is passed over (it is
+    torsion-free, so its only trace after reduction mod pi would be its
+    unknown rank).  With ell the integral torsion is localized at ell.
     """
     d = c.open_dim
     link = c.link_cohomology
     out = {}
-    for deg in c.known_degrees():
+    for deg in sorted(link):
         if deg > cap:
             break
-        entry = link.get(deg, ZERO_ENTRY)
+        entry = link[deg]
         rank, torsion = entry.rank, entry.torsion
         if rank is None:
             if skip_unknown:
@@ -314,18 +309,14 @@ def _band(c: ConeData, cap: float = math.inf, ell: int | None = None,
     return out
 
 
-def _check_covered(c: ConeData, f: ExtensionFlavor) -> None:
-    """Refuse unless the known band reaches one degree past f's threshold."""
-    if c.open_dim + f.shifted_threshold + 1 > c._bounds()[1]:
+def _check_covered(threshold: int, hi: float, f: ExtensionFlavor) -> None:
+    """Refuse unless the known band, up to raw degree hi, reaches one
+    degree past f's raw threshold."""
+    if threshold + 1 > hi:
         raise ConeError(
             "insufficient link data: window does not cover the "
             f"truncation threshold for {f.label()}"
         )
-
-
-def _floor(c: ConeData) -> float:
-    """Lowest shifted degree the link data speaks for (-inf when full)."""
-    return c._bounds()[0] - c.open_dim
 
 
 def _localize(torsion: tuple[int, ...], ell: int) -> tuple[int, ...]:
@@ -356,15 +347,17 @@ def extension_stalk(c: ConeData, f: ExtensionFlavor) -> GradedOModule:
     >>> extension_stalk(c, ExtensionFlavor("p+", "!*")).items()
     ((-2, OModule(rank=1, torsion=())), (0, OModule(rank=0, torsion=(2,))))
     """
-    _check_covered(c, f)
-    threshold = c.open_dim + f.shifted_threshold
+    lo, hi = c._bounds()
+    shifted = f.shifted_threshold
+    threshold = c.open_dim + shifted
+    _check_covered(threshold, hi, f)
     stalk = _band(c, cap=threshold)
     if f.plus:
-        edge = _require(
-            c.entry_or_none(threshold + 1), "no entry above the threshold"
-        )
+        if threshold + 1 < lo:  # _check_covered has bounded it by hi
+            raise ConeError("insufficient link data: no entry above the threshold")
+        edge = c.link_cohomology.get(threshold + 1, ZERO_ENTRY)
         if edge.torsion:
-            stalk[f.shifted_threshold + 1] = OModule(0, edge.torsion)
+            stalk[shifted + 1] = OModule(0, edge.torsion)
     return GradedOModule(stalk)
 
 
@@ -378,9 +371,10 @@ def localize_stalk(g: GradedOModule, ell: int) -> GradedOModule:
     OModule(rank=1, torsion=(2, 1))
     """
     intmat.check_prime(ell)
-    return GradedOModule(
-        {deg: OModule(m.rank, _localize(m.torsion, ell)) for deg, m in g.items()}
-    )
+    return GradedOModule({
+        deg: OModule(m.rank, _localize(m.torsion, ell)) if m.torsion else m
+        for deg, m in g.items()
+    })
 
 
 def f_extension_stalk(c: ConeData, f: ExtensionFlavor, ell: int) -> FGraded:
@@ -398,19 +392,30 @@ def f_extension_stalk(c: ConeData, f: ExtensionFlavor, ell: int) -> FGraded:
     if f.perversity != "p":
         raise ConeError("field-coefficient stalks are defined for perversity p only")
     intmat.check_prime(ell)
-    _check_covered(c, f)
+    d = c.open_dim
+    lo, hi = c._bounds()
+    shifted = f.shifted_threshold
+    _check_covered(d + shifted, hi, f)
     band = GradedOModule(_band(c, ell=ell, skip_unknown=True))
     reduced = reduce_graded(band, coefficients=f"F_{ell}")
-    return truncate_F(reduced, f.shifted_threshold, _floor(c))
+    return truncate_F(reduced, shifted, lo - d)
 
 
-def _check_euler_hypotheses(c: ConeData, ell: int) -> LinkEntry:
+def _check_euler_hypotheses(c: ConeData, ell: int) -> tuple[LinkEntry, float]:
+    """H^d of the link, and the lowest shifted degree the link data
+    speaks for (-inf when full); refuses at the first of d-1, d, d+1
+    outside the known window, then at a failed hypothesis."""
     intmat.check_prime(ell)
     d = c.open_dim
-    below = _require(c.entry_or_none(d - 1), f"degree {d - 1} outside window")
-    middle = _require(c.entry_or_none(d), f"degree {d} outside window")
-    above = _require(c.entry_or_none(d + 1), f"degree {d + 1} outside window")
-    if below.rank is None or not below.is_zero():
+    lo, hi = c._bounds()
+    for deg in (d - 1, d, d + 1):
+        if not lo <= deg <= hi:
+            raise ConeError(f"insufficient link data: degree {deg} outside window")
+    link = c.link_cohomology
+    below = link.get(d - 1, ZERO_ENTRY)
+    middle = link.get(d, ZERO_ENTRY)
+    above = link.get(d + 1, ZERO_ENTRY)
+    if below.rank != 0 or below.torsion:
         raise ConeError(
             f"hypotheses not met: H^{d - 1} of the link must vanish"
         )
@@ -420,7 +425,7 @@ def _check_euler_hypotheses(c: ConeData, ell: int) -> LinkEntry:
         )
     if middle.rank is None:
         raise ConeError(f"insufficient link data: rank unknown at degree {d}")
-    return middle
+    return middle, lo - d
 
 
 def decomposition_number(c: ConeData, ell: int) -> int:
@@ -438,13 +443,13 @@ def decomposition_number(c: ConeData, ell: int) -> int:
     >>> decomposition_number(link_cohomology_simple(DynkinDiagram("A", 3)), 2)
     1
     """
-    middle = _check_euler_hypotheses(c, ell)
+    middle, floor = _check_euler_hypotheses(c, ell)
     flavor = FLAVOR_CHAIN[2]  # p,!*
     o_side = reduce_graded(
         localize_stalk(extension_stalk(c, flavor), ell), coefficients=f"F_{ell}"
     )
     f_side = f_extension_stalk(c, flavor, ell)
-    floor = _floor(c)  # compare only degrees the known window speaks for
+    # compare only degrees the known window speaks for
     diff = sum(
         dim if deg % 2 == 0 else -dim
         for deg, dim in o_side.items()

@@ -9,9 +9,11 @@ dense Smith reduction that carries its transforms (no operation log),
 the logged sparse reduction with one helper call per elementary step
 (no inlined loop), a submodule-lattice walk for composition factors
 (no character theory), central idempotents for S3 factors (no eigenspaces), the McKay
-abelianisation for the middle link torsion (no Cartan matrix) and the
-dense generalized-Cartan check (no sparse rows).  Values frozen in
-the tests were produced by these functions.
+abelianisation for the middle link torsion (no Cartan matrix), the
+dense generalized-Cartan check (no sparse rows), and the module
+constructors and stalk refusals with one helper call per check (no
+inlined checks).  Values frozen in the tests were produced by these
+functions.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress, product
-from math import lcm
+from math import inf, lcm
 
-from decnum import omodule
+from decnum import intmat, omodule, perverse
 
 
 # ---------------------------------------------------------------- lattices
@@ -839,3 +841,112 @@ def reference_reduce_graded(items):
 def reference_truncate_F(items, n, floor):
     """truncate_F on (degree, dimension) items."""
     return reference_f_items({d: v for d, v in dict(items).items() if floor <= d <= n})
+
+
+# ------------------------------------------------ per-check constructors
+#
+# OModule as it was when it sorted every torsion tuple and checked each
+# exponent in its own loop pass, returning (rank, torsion).  The graded
+# constructors' per-entry checks, in the same order and with the same
+# messages, are reference_graded_items and reference_f_items above.
+
+def per_check_omodule(rank, torsion=()):
+    if not isinstance(rank, int) or rank < 0:
+        raise ValueError(f"invalid rank {rank!r}")
+    tors = tuple(sorted(torsion, reverse=True))
+    for e in tors:
+        if not isinstance(e, int) or e < 1:
+            raise ValueError(f"invalid torsion exponent {e!r}")
+    return rank, tors
+
+
+# ------------------------------------------------------ per-check stalks
+#
+# perverse.extension_stalk, f_extension_stalk and decomposition_number
+# as they were when every check read the cone's bounds again through
+# its own helper (coverage, floor, entry_or_none per degree) and the
+# band looked each known degree up through known_degrees().  They build
+# their answers with the public graded functors and raise ConeError
+# with the same messages, so a test can compare the messages one by one.
+
+def _per_check_band(c, cap=inf, ell=None, skip_unknown=False):
+    d = c.open_dim
+    link = c.link_cohomology
+    out = {}
+    for deg in c.known_degrees():
+        if deg > cap:
+            break
+        entry = link.get(deg, perverse.ZERO_ENTRY)
+        rank, torsion = entry.rank, entry.torsion
+        if rank is None:
+            if skip_unknown:
+                continue
+            raise perverse.ConeError(f"insufficient link data: rank unknown at degree {deg}")
+        if torsion and ell is not None:
+            torsion = _valuations(torsion, ell)
+        if rank or torsion:
+            out[deg - d] = omodule.OModule(rank, torsion)
+    return out
+
+
+def _per_check_require(entry, what):
+    if entry is None:
+        raise perverse.ConeError(f"insufficient link data: {what}")
+    return entry
+
+
+def _per_check_covered(c, f):
+    if c.open_dim + f.shifted_threshold + 1 > c._bounds()[1]:
+        raise perverse.ConeError(
+            "insufficient link data: window does not cover the "
+            f"truncation threshold for {f.label()}"
+        )
+
+
+def per_check_extension_stalk(c, f):
+    _per_check_covered(c, f)
+    threshold = c.open_dim + f.shifted_threshold
+    stalk = _per_check_band(c, cap=threshold)
+    if f.plus:
+        edge = _per_check_require(
+            c.entry_or_none(threshold + 1), "no entry above the threshold"
+        )
+        if edge.torsion:
+            stalk[f.shifted_threshold + 1] = omodule.OModule(0, edge.torsion)
+    return omodule.GradedOModule(stalk)
+
+
+def per_check_f_extension_stalk(c, f, ell):
+    if f.perversity != "p":
+        raise perverse.ConeError("field-coefficient stalks are defined for perversity p only")
+    intmat.check_prime(ell)
+    _per_check_covered(c, f)
+    band = omodule.GradedOModule(_per_check_band(c, ell=ell, skip_unknown=True))
+    reduced = omodule.reduce_graded(band, coefficients=f"F_{ell}")
+    return omodule.truncate_F(reduced, f.shifted_threshold, c._bounds()[0] - c.open_dim)
+
+
+def per_check_decomposition_number(c, ell):
+    intmat.check_prime(ell)
+    d = c.open_dim
+    below = _per_check_require(c.entry_or_none(d - 1), f"degree {d - 1} outside window")
+    middle = _per_check_require(c.entry_or_none(d), f"degree {d} outside window")
+    above = _per_check_require(c.entry_or_none(d + 1), f"degree {d + 1} outside window")
+    if below.rank is None or not below.is_zero():
+        raise perverse.ConeError(f"hypotheses not met: H^{d - 1} of the link must vanish")
+    if above.torsion:
+        raise perverse.ConeError(
+            f"hypotheses not met: H^{d + 1} of the link must be torsion-free"
+        )
+    if middle.rank is None:
+        raise perverse.ConeError(f"insufficient link data: rank unknown at degree {d}")
+    flavor = perverse.FLAVOR_CHAIN[2]  # p,!*
+    o_side = omodule.reduce_graded(
+        perverse.localize_stalk(per_check_extension_stalk(c, flavor), ell),
+        coefficients=f"F_{ell}",
+    )
+    f_side = per_check_f_extension_stalk(c, flavor, ell)
+    floor = c._bounds()[0] - d
+    return sum(
+        dim if deg % 2 == 0 else -dim for deg, dim in o_side.items() if deg >= floor
+    ) - f_side.euler_characteristic()

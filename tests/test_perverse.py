@@ -602,3 +602,76 @@ def test_stalk_calculus_matches_reference(monkeypatch, support):
             want = oracles.reference_decomposition(band, ell, window)
             got = outcome(lambda: decomposition_number(c, ell), lambda n: n)
             assert got == want, (band, ell)
+
+
+def _raised_or(call):
+    """("ok", repr of the value) or (exception class name, message)."""
+    try:
+        return "ok", repr(call())
+    except Exception as e:  # the exception itself is what is compared
+        return type(e).__name__, str(e)
+
+
+def random_windowed_cone(rng, d, hi):
+    """A cone known on raw degrees lo..hi, about d; entries may be zero,
+    of unknown rank, or carry torsion anywhere, H^{d-1} and H^{d+1} too."""
+
+    def entry():
+        if rng.random() < 0.15:
+            return LinkEntry(None, ())
+        return LinkEntry(rng.choice((0, 0, 0, 1, 2)), random_chain(rng, 2))
+
+    lo = hi - rng.randint(0, 4)
+    link = {deg: entry() for deg in range(lo, hi + 1)}
+    if rng.random() < 0.6 and d - 1 in link:
+        link[d - 1] = ZERO_ENTRY
+    if rng.random() < 0.6 and d + 1 in link and link[d + 1].rank is not None:
+        link[d + 1] = LinkEntry(link[d + 1].rank, ())
+    return ConeData("windowed", d, link, completeness=(lo, hi))
+
+
+@pytest.mark.parametrize("support", [None, "-3:0"])
+def test_stalk_refusals_match_the_per_check_reference(monkeypatch, support):
+    """On windowed bands, extension_stalk, f_extension_stalk and
+    decomposition_number give the answer, or the exception type and
+    message, of the routines that re-read the cone's bounds in each check;
+    the Euler hypotheses refuse at d-1, then d, then d+1."""
+    if support is None:
+        monkeypatch.delenv("DECNUM_DEGREE_WINDOW", raising=False)
+    else:
+        monkeypatch.setenv("DECNUM_DEGREE_WINDOW", support)
+    rng = random.Random(f"windowed refusals {support}")
+    orders = Counter()  # window tops below d-1, at d-1 and at d; bottoms above d-1
+    messages = set()
+    for _ in range(400):
+        d = rng.randint(4, 8)
+        c = random_windowed_cone(rng, d, d + rng.randint(-4, 2))
+        lo, hi = c.completeness
+        for flavor in FLAVOR_CHAIN:
+            got = _raised_or(lambda: extension_stalk(c, flavor))
+            assert got == _raised_or(lambda: oracles.per_check_extension_stalk(c, flavor)), (
+                c, flavor.label())
+            messages.add(got[1])
+            ell = rng.choice((2, 3, 4))
+            got = _raised_or(lambda: f_extension_stalk(c, flavor, ell))
+            assert got == _raised_or(
+                lambda: oracles.per_check_f_extension_stalk(c, flavor, ell)), (
+                c, flavor.label(), ell)
+            messages.add(got[1])
+        for ell in (2, 3, 5, 6):
+            got = _raised_or(lambda: decomposition_number(c, ell))
+            assert got == _raised_or(lambda: oracles.per_check_decomposition_number(c, ell)), (
+                c, ell)
+            messages.add(got[1])
+            if ell == 6 or hi > d and lo <= d - 1:
+                continue
+            # the first of d-1, d, d+1 outside the window is named
+            missing = d - 1 if lo > d - 1 or hi < d - 1 else hi + 1
+            assert got == ("ConeError", f"insufficient link data: degree {missing} outside window")
+            orders["above d-1" if lo > d - 1 else max(hi - d, -2)] += 1
+    assert set(orders) == {-2, -1, 0, "above d-1"}, orders
+    for fragment in ("window does not cover the truncation threshold for p+,*",
+                     "no entry above the threshold", "rank unknown at degree",
+                     "must vanish", "must be torsion-free", "perversity p only",
+                     "ell must be a prime"):
+        assert any(fragment in m for m in messages), fragment
