@@ -243,9 +243,6 @@ class FinAbGroup(FrozenRecord):
         object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "free_rank", free_rank)
 
-    def is_trivial(self) -> bool:
-        return not self.divisors and self.free_rank == 0
-
     def order(self) -> int:
         if self.free_rank:
             raise ValueError("infinite group has no order")

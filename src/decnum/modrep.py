@@ -198,7 +198,8 @@ def reduce_mod_l(e: EquivariantAbGroup, ell: int) -> ModularRep:
     """F_ell tensor the group, with the inherited action.
 
     Only invariant factors divisible by ell contribute (one dimension
-    each); the action matrix restricts to those coordinates.
+    each); the action matrix restricts to those coordinates, which
+    ModularRep reduces mod ell.
 
     >>> g = EquivariantAbGroup(FinAbGroup((6,)), {"s": ((5,),)})
     >>> reduce_mod_l(g, 2).action["s"]
@@ -208,7 +209,7 @@ def reduce_mod_l(e: EquivariantAbGroup, ell: int) -> ModularRep:
     """
     keep = [i for i, d in enumerate(e.group.divisors) if d % ell == 0]
     action = {
-        label: tuple([tuple([m[i][j] % ell for j in keep]) for i in keep])
+        label: tuple([tuple([m[i][j] for j in keep]) for i in keep])
         for label, m in e.action.items()
     }
     return ModularRep(ell=ell, dim=len(keep), action=action)

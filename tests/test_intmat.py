@@ -206,7 +206,8 @@ def _matches_dense_reference(m, endomorphisms):
 
 def test_sparse_reduction_matches_dense_reference():
     """The logged sparse reduction gives the dense one's transforms,
-    projections, induced matrices and LatticeError coordinates."""
+    projections, induced matrices and LatticeError coordinates, and on
+    the random matrices the reference reduction's rows and logs."""
     rng = random.Random(4406)
     refused = 0
     for k in range(600):
@@ -222,6 +223,8 @@ def test_sparse_reduction_matches_dense_reference():
             [[int(i == j) + lat[i] * rng.randint(-2, 2) for j in range(rows)]
              for i in range(rows)],
         ]
+        frozen = freeze(m)
+        assert intmat._reduce(frozen) == oracles.reference_sparse_reduction(frozen), m
         refused += _matches_dense_reference(m, endomorphisms)
     assert refused > 300
     diagrams = [rootsys.DynkinDiagram(s, n) for s in "ABCD"
@@ -238,20 +241,6 @@ def test_sparse_reduction_matches_dense_reference():
             rootsys.cartan_matrix(f.gamma_hat),
             [rootsys._permutation_matrix(p) for p in f.elements().values()],
         )
-
-
-def _dense_reference_matrices():
-    # the 600 matrices of test_sparse_reduction_matches_dense_reference:
-    # the same draws in the same order, endomorphisms drawn and dropped
-    rng = random.Random(4406)
-    for k in range(600):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-        m = random_matrix(rng, rows, cols, rng.choice((1, 3, 12)))
-        if k % 4 == 0 and rows > 1:
-            m[-1] = [3 * x for x in m[0]]  # singular
-        for bound in [2] * cols + [3] * rows * rows + [2] * rows * rows:
-            rng.randint(-bound, bound)
-        yield m
 
 
 def _logged_branches(rowlog, collog):
@@ -273,17 +262,16 @@ def _logged_branches(rowlog, collog):
 def test_reduction_log_matches_the_reference_reduction():
     """The inlined elimination loop leaves the rows, row log and column
     log of the reference reduction, which calls a helper per step: on
-    the dense reference set, on sparse matrices up to 12x12 that take
-    both the re-pivot and the witness branch, and on every Cartan and
-    unfolding matrix up to rank 120."""
+    sparse matrices up to 12x12 that take both the re-pivot and the
+    witness branch, and on every Cartan and unfolding matrix up to rank
+    120 (test_sparse_reduction_matches_dense_reference covers the dense
+    random set)."""
     def same(m):
         m = freeze(m)
         got = intmat._reduce(m)
         assert got == oracles.reference_sparse_reduction(m), m
         return got
 
-    for m in _dense_reference_matrices():
-        same(m)
     rng = random.Random(1313)
     repivots = witnesses = 0
     for _ in range(1500):

@@ -11,6 +11,7 @@ from math import lcm
 import pytest
 
 from decnum import intmat, rootsys, tables
+from decnum.cli import MINIMAL_MAX_RANK
 from decnum.perverse import link_cohomology_minimal
 from decnum.rootsys import (
     ALL_DIAGRAMS_RANK_LE_8,
@@ -229,6 +230,51 @@ def test_symmetrizer_matches_rational_arithmetic():
         ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),    # a cycle that agrees: A2~
     ):
         assert finite_components(c) is None, c
+    # the walk alone decides finite type: it fails exactly when some
+    # component fails Kac's criterion, on dense cycles, independent
+    # off-diagonal pairs and block sums, nodes shuffled
+    rng = random.Random(1515)
+    outcomes = set()
+    for _ in range(2000):
+        mode = rng.choice((_dense_gcm, _random_connected_gcm, None))
+        if mode is None:
+            a, b = (_random_connected_gcm(rng, rng.randint(1, k)) for k in (4, 3))
+            perm = list(range(len(a) + len(b)))
+            rng.shuffle(perm)
+            c = _block_sum(a, b, perm)
+        else:
+            c = mode(rng, rng.randint(1, 7))
+        infinite = not all(map(_finite_type, _components(c)))
+        assert (finite_components(c) is None) == infinite, c
+        outcomes.add(infinite)
+    assert outcomes == {False, True}
+
+
+def _dense_gcm(rng, n):
+    # every pair of nodes joined with probability 0.7, so cycles abound
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            if rng.random() < 0.7:
+                c[i][j], c[j][i] = -rng.randint(1, 3), -rng.randint(1, 3)
+    return c
+
+
+def _components(c):
+    # the principal submatrix of each connected component
+    n, seen, out = len(c), set(), []
+    for first in range(n):
+        if first in seen:
+            continue
+        order = [first]
+        seen.add(first)
+        for i in order:
+            for j in range(n):
+                if c[i][j] and j not in seen:
+                    seen.add(j)
+                    order.append(j)
+        out.append([[c[i][j] for j in order] for i in order])
+    return out
 
 
 def test_generate_roots_rejects_bad_input():
@@ -585,6 +631,8 @@ def test_long_root_subsystem():
         ("C", 2, "A1"), ("C", 5, "A1"),
         ("F", 4, "A2"), ("G", 2, "A1"),
     ]
+    cases += [("B", n, f"A{n - 1}") for n in range(2, MINIMAL_MAX_RANK + 1)]
+    cases += [("C", n, "A1") for n in range(2, MINIMAL_MAX_RANK + 1)]
     for series, rank, want in cases:
         assert str(long_root_subsystem(DynkinDiagram(series, rank))) == want
     for name in ("A5", "D6", "E7"):
