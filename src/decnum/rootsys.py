@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from itertools import compress
 from math import gcd, lcm
-from operator import mul
-from struct import iter_unpack
+from operator import mul, neg
 
 from . import intmat
 from .intmat import FinAbGroup, FrozenRecord, Matrix
@@ -53,11 +52,12 @@ class DynkinDiagram(FrozenRecord):
     __slots__ = ("series", "rank")
 
     def __init__(self, series: str, rank: int) -> None:
-        ok = False
-        if series in SERIES_MIN_RANK:
-            ok = isinstance(rank, int) and rank >= SERIES_MIN_RANK[series]
-        elif (series, rank) in EXCEPTIONAL:
-            ok = True
+        if type(rank) is not int:  # a bool or a float compares like an int
+            ok = False
+        elif series in SERIES_MIN_RANK:
+            ok = rank >= SERIES_MIN_RANK[series]
+        else:
+            ok = (series, rank) in EXCEPTIONAL
         if not ok:
             raise ValueError(f"inadmissible type {series}{rank}")
         object.__setattr__(self, "series", series)
@@ -126,41 +126,14 @@ def _off_diagonal(d: DynkinDiagram) -> dict[tuple[int, int], int]:
     return entries
 
 
-ALL_DIAGRAMS_RANK_LE_8 = tuple(
-    DynkinDiagram(s, n)
-    for s in ("A", "B", "C", "D", "E", "F", "G")
-    for n in range(1, 9)
-    if (s in SERIES_MIN_RANK and n >= SERIES_MIN_RANK[s]) or (s, n) in EXCEPTIONAL
-)
-
-
-class _PackedRoots(FrozenRecord):
-    """Sets roots and lengths at their first read, from _decode_roots on
-    _packed = (Cartan row supports, symmetrizer, highest root), and then
-    drops _packed."""
-
-    # not a field: Record reads fields from the subclass's own __slots__
-    __slots__ = ("_packed",)
-
-    def __getattr__(self, name):
-        # only for an unset slot
-        if name not in ("roots", "lengths"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        roots, lengths = _decode_roots(*self._packed)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "lengths", lengths)
-        object.__delattr__(self, "_packed")
-        return roots if name == "roots" else lengths
-
-
-class RootSystemData(_PackedRoots):
+class RootSystemData(FrozenRecord):
     """Roots in simple-root coordinates plus derived numerology.
 
     roots are sorted lexicographically;  lengths[i] is "long" or "short"
     for roots[i] (every root of a simply-laced system counts as long).
-    generate_roots sets the other fields in the call; the first read of
-    roots or lengths closes the roots and checks their top against
-    highest_root.
+    generate_roots sets the other fields in the call and leaves roots
+    and lengths unset; their first read closes the roots from cartan,
+    checks that highest_root tops and dominates them, and sets both.
     """
 
     __slots__ = ("cartan", "roots", "lengths", "highest_root", "dual_coxeter")
@@ -179,51 +152,56 @@ class RootSystemData(_PackedRoots):
         object.__setattr__(self, "highest_root", highest_root)
         object.__setattr__(self, "dual_coxeter", dual_coxeter)
 
+    def __getattr__(self, name):
+        # only for an unset slot
+        if name not in ("roots", "lengths"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        roots, lengths = _close_roots(self.cartan, self.highest_root)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "lengths", lengths)
+        return roots if name == "roots" else lengths
 
-# byte b to (-b) mod 256
-_NEGATED = bytes(-b & 255 for b in range(256))
 
+def _close_roots(cartan: Matrix, highest: tuple[int, ...]):
+    """roots and lengths of a finite-type Cartan matrix, closed under the
+    raising simple reflections, after checking that highest is their top
+    root and dominates every root.
 
-def _reflection_closure(row_support) -> dict[int, int]:
-    """Close the simple roots under the raising simple reflections.
-
-    Returns origin, which maps each positive root, packed, to the simple
-    root whose reflection orbit it lies in, so the root has its squared
-    length.  Coordinates are with respect to the simple roots, so
-    reflection i sends v to v with v[i] replaced by v[i] - p[i], where
-    p[i] = sum_j v[j] C[j][i] pairs v with the simple coroot i.  s_i
-    permutes the positive roots other than a_i (Humphreys, Introduction
-    to Lie Algebras, 10.2 Lemma B), and a positive root of height > 1
-    pairs positively with some simple coroot, so every positive root is
+    Coordinates are with respect to the simple roots, so reflection i
+    sends v to v with v[i] replaced by v[i] - p[i], where p[i] = sum_j
+    v[j] C[j][i] pairs v with the simple coroot i.  s_i permutes the
+    positive roots other than a_i (Humphreys, Introduction to Lie
+    Algebras, 10.2 Lemma B), and a positive root of height > 1 pairs
+    positively with some simple coroot, so every positive root is
     reached from a simple root by reflections with p[i] < 0, each of
     which adds -p[i] a_i.  Only those are applied.  Each frontier root
     carries its nonzero pairings, so a reflection reads p[i] directly
     and the child's pairings are the parent's minus p[i] times Cartan
-    row i (row_support lists its nonzero entries (j, C[i][j])).
-
-    A positive root is held as a packed int, one byte per coordinate
-    with coordinate 0 the most significant, so integer order is tuple
-    order and the sort is one int sort.  Only for a finite type, which
-    generate_roots has decided: no finite root system has a coefficient
-    above 6 (the largest is E8's highest root).
+    row i.  origin maps each positive root to the simple root whose
+    reflection orbit it lies in, so the root has its squared length.
+    Only for a finite type, which generate_roots has decided: no finite
+    root system has a coefficient above 6 (the largest is E8's highest
+    root).  The negative roots are the negated positive ones.
     """
-    n = len(row_support)
-    shift = [8 * (n - 1 - i) for i in range(n)]
+    row_support = _cartan_rows(cartan)
+    ls = _finite_components(cartan, row_support)[0]
+    n = len(cartan)
     origin = {}
     frontier = []
     for i in range(n):
-        origin[1 << shift[i]] = i
-        frontier.append((1 << shift[i], dict(row_support[i])))
+        v = (0,) * i + (1,) + (0,) * (n - 1 - i)
+        origin[v] = i
+        frontier.append((v, dict(row_support[i])))
     while frontier:
         nxt = []
         for v, pairing in frontier:
             for i, p in pairing.items():
                 if p >= 0:
                     continue
-                # past 255 a coordinate would carry into the next one's byte
-                if (v >> shift[i] & 255) - p > 6:
+                k = v[i] - p
+                if k > 6:
                     raise AssertionError("root coefficient above 6 in a finite type")
-                w = v - (p << shift[i])
+                w = v[:i] + (k,) + v[i + 1:]
                 if w in origin:
                     continue
                 origin[w] = origin[v]
@@ -236,37 +214,18 @@ def _reflection_closure(row_support) -> dict[int, int]:
                         del q[j]
                 nxt.append((w, q))
         frontier = nxt
-    return origin
-
-
-def _decode_roots(row_support, ls, highest: tuple[int, ...]):
-    """roots and lengths from the reflection closure and the symmetrizer
-    ls, after checking that the closure's top root is highest.  The
-    negative roots are the negated positive ones, in the reverse order
-    of their negations."""
-    origin = _reflection_closure(row_support)
-    n = len(row_support)
-    # the highest root dominates every root, so it is also the largest;
-    # every negative root lies below 0, so checking the positive ones
-    # suffices.  With a guard bit over each coordinate byte, top minus v
-    # keeps every guard bit exactly when no coordinate of v is larger
-    top = max(origin)
-    guard = int.from_bytes(b"\x80" * n, "big")
-    guarded = top | guard
-    if top != int.from_bytes(bytes(highest), "big") or any(
-            guarded - v & guard != guard for v in origin):
+    positive = sorted(origin)
+    # the highest root dominates every root, so it is also the largest
+    # and each of its coordinates is that coordinate's maximum; every
+    # negative root lies below 0, so checking the positive ones suffices
+    if positive[-1] != highest or tuple(map(max, zip(*positive))) != highest:
         raise AssertionError("highest root fails to dominate")
-    packed = sorted(origin)
-    chunks = [v.to_bytes(n, "big") for v in packed]
-    positive = tuple(iter_unpack(f"{n}B", b"".join(chunks)))
-    chunks.reverse()
-    # a negated byte read back as a signed one is the negated coordinate
-    roots = tuple(iter_unpack(f"{n}b", b"".join(chunks).translate(_NEGATED))) + positive
     # (v, v) up to the common factor 1/2 is sum_ij v_i v_j C[i][j] L[j],
     # which is 2 L[i] on the simple root a_i
     longest = max(ls)
-    upper = tuple("long" if ls[origin[v]] == longest else "short" for v in packed)
-    return roots, upper[::-1] + upper
+    upper = tuple("long" if ls[origin[v]] == longest else "short" for v in positive)
+    negative = tuple([tuple(map(neg, v)) for v in reversed(positive)])
+    return negative + tuple(positive), upper[::-1] + upper
 
 
 def _cartan_rows(c: Matrix) -> list[list[tuple[int, int]]]:
@@ -380,9 +339,9 @@ def generate_roots(cartan) -> RootSystemData:
     roots than max(240, 2 n^2), the most any finite type of rank n has
     (it has n (ht theta + 1)).  Any other direct sum is not connected.
 
-    At the first read of roots or lengths: the reflection closure, the
-    check that its top root is highest_root and dominates every root,
-    and the decoding.
+    roots and lengths are left unset.  Their first read closes the roots
+    from the record's cartan (_close_roots), checks that highest_root is
+    the top root and dominates every root, and sets both fields.
 
     >>> rs = generate_roots(cartan_matrix(DynkinDiagram("A", 2)))
     >>> (len(rs.roots), rs.dual_coxeter, rs.highest_root)
@@ -410,8 +369,7 @@ def generate_roots(cartan) -> RootSystemData:
         raise AssertionError("dual Coxeter number came out non-integral")
     rs = RootSystemData.__new__(RootSystemData)
     for name, value in (("cartan", c), ("highest_root", highest),
-                        ("dual_coxeter", 1 + weight),
-                        ("_packed", (row_support, ls, highest))):
+                        ("dual_coxeter", 1 + weight)):
         object.__setattr__(rs, name, value)
     return rs
 

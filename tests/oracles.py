@@ -25,6 +25,7 @@ from itertools import compress, product
 from math import inf, lcm
 
 from decnum import intmat, omodule, perverse
+from decnum.rootsys import EXCEPTIONAL, SERIES_MIN_RANK, DynkinDiagram
 
 
 # ---------------------------------------------------------------- lattices
@@ -343,6 +344,15 @@ def reference_sparse_reduction(m):
 
 
 # -------------------------------------------------------------- root counts
+
+# every finite type of rank at most 8: A1-A8, B2-B8, C2-C8, D4-D8, E6-E8,
+# F4 and G2
+ALL_DIAGRAMS_RANK_LE_8 = tuple(
+    DynkinDiagram(s, n)
+    for s in ("A", "B", "C", "D", "E", "F", "G")
+    for n in range(1, 9)
+    if (s in SERIES_MIN_RANK and n >= SERIES_MIN_RANK[s]) or (s, n) in EXCEPTIONAL
+)
 
 ROOT_COUNTS = {
     "A": lambda n: n * (n + 1),

@@ -24,7 +24,6 @@ from decnum.perverse import (
     subregular_cone,
 )
 from decnum.rootsys import (
-    ALL_DIAGRAMS_RANK_LE_8,
     DynkinDiagram,
     cartan_matrix,
     folding,
@@ -44,6 +43,7 @@ from decnum.tables import (
 )
 
 import test_perverse
+from oracles import ALL_DIAGRAMS_RANK_LE_8
 
 
 def _report(number: int, description: str, fn, budget: float | None = None) -> None:

@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 import oracles
+from oracles import ALL_DIAGRAMS_RANK_LE_8
 from decnum import omodule, perverse
 from decnum.intmat import FinAbGroup
 from decnum.modrep import EquivariantAbGroup
@@ -29,7 +30,7 @@ from decnum.perverse import (
     localize_stalk,
     subregular_cone,
 )
-from decnum.rootsys import ALL_DIAGRAMS_RANK_LE_8, DynkinDiagram, FoldingDatum, folding
+from decnum.rootsys import DynkinDiagram, FoldingDatum, folding
 
 
 def D(name):
@@ -68,6 +69,7 @@ def test_extension_flavor():
 def test_cone_data_validation():
     with pytest.raises(ValueError, match="positive dimension"):
         ConeData("x", 0, {0: LinkEntry(1)})
+    assert ConeData("x", 1, {0: LinkEntry(1)}).open_dim == 1
     with pytest.raises(ValueError, match="H\\^0 = O"):
         ConeData("x", 2, {})
     with pytest.raises(ValueError, match="H\\^0 = O"):

@@ -14,7 +14,6 @@ from decnum import intmat, rootsys, tables
 from decnum.cli import MINIMAL_MAX_RANK
 from decnum.perverse import link_cohomology_minimal
 from decnum.rootsys import (
-    ALL_DIAGRAMS_RANK_LE_8,
     EXCEPTIONAL,
     SERIES_MIN_RANK,
     DynkinDiagram,
@@ -31,6 +30,7 @@ from decnum.rootsys import (
 )
 
 import oracles
+from oracles import ALL_DIAGRAMS_RANK_LE_8
 
 
 def test_diagram_validation():
@@ -38,9 +38,16 @@ def test_diagram_validation():
     assert DynkinDiagram("A", 1).simply_laced
     assert not DynkinDiagram("G", 2).simply_laced
     for series, rank in [("D", 3), ("A", 0), ("B", 1), ("C", 1), ("E", 9),
-                         ("E", 5), ("F", 5), ("G", 3), ("H", 4)]:
-        with pytest.raises(ValueError, match="inadmissible"):
+                         ("E", 5), ("F", 5), ("G", 3), ("H", 4),
+                         ("A", True), ("D", 4.0), ("E", 6.0), ("G", 2.0)]:
+        with pytest.raises(ValueError, match=f"^inadmissible type {series}{rank}$"):
             DynkinDiagram(series, rank)
+    # the fixture of every type up to rank 8, spelled out
+    assert [str(d) for d in ALL_DIAGRAMS_RANK_LE_8] == (
+        [f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+        + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+    )
 
 
 def test_cartan_matrices_frozen():
@@ -290,7 +297,7 @@ def test_generate_roots_rejects_bad_input():
         generate_roots([[2, 0], [0, 2]])
     # affine, hyperbolic and indefinite matrices: reflections never close
     # up, and each is refused with the closure's bound message, even where
-    # the packed closure stops at the first coefficient above 6
+    # the walk stops at the first coefficient above 6
     a11_affine = [[2 if i == j else -1 if abs(i - j) == 1 or {i, j} == {0, 11} else 0
                    for j in range(12)] for i in range(12)]
     for c in (
@@ -388,7 +395,7 @@ def _finite_type(c):
 def test_generate_roots_matches_reference_on_random_matrices():
     """Finite types agree with the dense closure; every other generalized
     Cartan matrix is refused with the closure's bound message, although
-    the packed closure stops at the first coefficient above 6."""
+    the walk stops at the first coefficient above 6."""
     rng = random.Random(7070)
     answered = 0
     for _ in range(400):
@@ -499,7 +506,7 @@ def test_deferred_record_behaves_like_a_constructed_one():
 
 
 def test_generate_roots_refuses_in_the_call():
-    # the record defers only decoding: every check still runs in the call
+    # the record defers only the closure: every check still runs in the call
     bound = _bound_message(2)
     cases = [
         ([[2, -1, 0], [-1, 2, -1]], "Cartan matrix must be square"),
@@ -527,10 +534,10 @@ def test_generate_roots_refuses_in_the_call():
 
 def test_minimal_cones_never_decode_roots(monkeypatch):
     def refuse(*args):
-        raise AssertionError("roots decoded")
+        raise AssertionError("roots closed")
 
-    monkeypatch.setattr(rootsys, "_decode_roots", refuse)
-    with pytest.raises(AssertionError, match="roots decoded"):
+    monkeypatch.setattr(rootsys, "_close_roots", refuse)
+    with pytest.raises(AssertionError, match="roots closed"):
         root_system(DynkinDiagram("A", 2)).roots
     # every type of the minimal-sweep benchmark's range, and beyond it
     diagrams = [DynkinDiagram(s, n) for s, n in sorted(EXCEPTIONAL)] + [
@@ -548,7 +555,7 @@ def test_generate_roots_never_closes_in_the_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("roots closed")
 
-    monkeypatch.setattr(rootsys, "_reflection_closure", refuse)
+    monkeypatch.setattr(rootsys, "_close_roots", refuse)
     # every finite type up to rank 40 and each transpose; transposing
     # swaps long and short, so B_n^T is C_n's matrix and C_n^T is B_n's
     for series, rank in sorted(EXCEPTIONAL):
@@ -569,14 +576,12 @@ def test_generate_roots_never_closes_in_the_call(monkeypatch):
 
 def test_first_read_checks_the_walk_against_the_closure():
     c = cartan_matrix(DynkinDiagram("B", 3))
-    support = [[(j, x) for j, x in enumerate(row) if x] for row in c]
-    ls = [2, 2, 1]
     rs = generate_roots(c)
-    assert rootsys._decode_roots(support, ls, (1, 2, 2)) == (rs.roots, rs.lengths)
+    assert rootsys._close_roots(c, (1, 2, 2)) == (rs.roots, rs.lengths)
     # a dominated root, or a tuple no root equals, is not the top root
     for wrong in ((1, 1, 1), (1, 2, 1), (2, 2, 2)):
         with pytest.raises(AssertionError, match="^highest root fails to dominate$"):
-            rootsys._decode_roots(support, ls, wrong)
+            rootsys._close_roots(c, wrong)
 
 
 def test_dual_fundamental_group_is_the_cokernel_of_the_transpose():
