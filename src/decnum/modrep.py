@@ -3,7 +3,13 @@
 Only three symmetry groups ever show up downstream (trivial, the order-2
 group, and the symmetric group on three letters), so representation
 theory here is a handful of closed-form regimes rather than a general
-character-theory engine.  Irreducible labels are fixed strings:
+character-theory engine.  Everything this module and rootsys know about
+those groups sits in one table, GROUPS: per kind its generators, its
+elements as words in them, its defining relations, and its simple
+modules mod l.  check_relations is the one routine that checks those
+relations, on folding permutations (rootsys.FoldingDatum), on actions
+mod the invariant factors (EquivariantAbGroup) and on matrices mod l
+(ModularRep).  Irreducible labels are fixed strings:
 
     "1"    trivial character (dimension 1)
     "eps"  sign character    (dimension 1)
@@ -20,16 +26,33 @@ from __future__ import annotations
 from .intmat import FinAbGroup, Matrix, Record, check_prime, freeze, identity, multiply
 
 # The three symmetry groups: kind -> (generators, elements as words in
-# them, "e" the identity first).  Generators satisfy s^2 = 1, t^3 = 1
-# and s t s = t^2.
+# them with "e" the identity first, defining relations as (word, word,
+# message for a generator set that breaks it), simple modules mod ell
+# keyed by ell = 2, 3 and 0 for every other prime).
+_SQUARE = ("ss", "e", "generator s must square to the identity")
 GROUPS = {
-    "trivial": ((), ("e",)),
-    "C2": (("s",), ("e", "s")),
-    "S3": (("s", "t"), ("e", "t", "tt", "s", "st", "stt")),
+    "trivial": ((), ("e",), (), {2: ("1",), 3: ("1",), 0: ("1",)}),
+    "C2": (("s",), ("e", "s"), (_SQUARE,), {2: ("1",), 3: ("1", "eps"), 0: ("1", "eps")}),
+    "S3": (
+        ("s", "t"),
+        ("e", "t", "tt", "s", "st", "stt"),
+        (_SQUARE, ("ttt", "e", "generator t must cube to the identity"),
+         ("sts", "tt", "generators must satisfy s t s = t^2")),
+        {2: ("1", "psi"), 3: ("1", "eps"), 0: ("1", "eps", "psi")},
+    ),
 }
-_KIND = {gens: kind for kind, (gens, _) in GROUPS.items()}
+_KIND = {entry[0]: kind for kind, entry in GROUPS.items()}
 
 CHARACTER_DIMS = {"1": 1, "eps": 1, "psi": 2}
+
+
+def _word_value(word: str, gens: dict, unit, compose):
+    if word == "e":
+        return unit
+    value = gens[word[0]]
+    for label in word[1:]:
+        value = compose(value, gens[label])
+    return value
 
 
 def group_elements(kind: str, gens: dict, unit, compose) -> dict:
@@ -38,52 +61,51 @@ def group_elements(kind: str, gens: dict, unit, compose) -> dict:
     A word's value is compose folded over its letters' values from the
     left; "e" is unit.
     """
-    out = {"e": unit}
-    for word in GROUPS[kind][1][1:]:
-        value = gens[word[0]]
-        for label in word[1:]:
-            value = compose(value, gens[label])
-        out[word] = value
-    return out
+    return {word: _word_value(word, gens, unit, compose) for word in GROUPS[kind][1]}
+
+
+def check_relations(kind: str, gens: dict, unit, compose) -> None:
+    """Refuse gens unless they satisfy every defining relation of kind.
+
+    Both words of a relation are valued as in group_elements and compared
+    with ==, so compose must return its values in one normal form.  The
+    first relation that fails raises ValueError with its message.
+    """
+    for lhs, rhs, message in GROUPS[kind][2]:
+        if _word_value(lhs, gens, unit, compose) != _word_value(rhs, gens, unit, compose):
+            raise ValueError(message)
 
 
 def _mod_entrywise(m: Matrix, mods: tuple[int, ...]) -> Matrix:
     return tuple([tuple([e % d for e in row]) for row, d in zip(m, mods)])
 
 
-def _group_kind(action: dict[str, Matrix]) -> str:
-    labels = tuple(sorted(action))
-    if labels not in _KIND:
-        raise ValueError(f"unsupported generator set {labels}")
-    return _KIND[labels]
-
-
-def _check_relations(action: dict[str, Matrix], n: int, reduce) -> None:
-    """The group relations, each product compared after reduce."""
-    if not n:
-        return
-    ident = identity(n)
-    if "s" in action:
-        s = action["s"]
-        if reduce(multiply(s, s)) != ident:
-            raise ValueError("generator s must square to the identity")
-    if "t" in action:
-        t = action["t"]
-        tt = multiply(t, t)
-        if reduce(multiply(tt, t)) != ident:
-            raise ValueError("generator t must cube to the identity")
-        if reduce(multiply(multiply(s, t), s)) != reduce(tt):
-            raise ValueError("generators must satisfy s t s = t^2")
-
-
 class _GroupAction(Record):
-    # _kind is not a field: __init__ works it out from the generator labels
+    # _kind is not a field: _set_action works it out from the generator labels
     __slots__ = ("_kind",)
     action: dict[str, Matrix]
 
     @property
     def kind(self) -> str:
         return self._kind
+
+    def _set_action(self, action: dict[str, Matrix], n: int, reduce) -> None:
+        """Store each generator frozen, n x n and reduced; check the relations."""
+        labels = tuple(sorted(action))
+        if labels not in _KIND:
+            raise ValueError(f"unsupported generator set {labels}")
+        self._kind = _KIND[labels]
+        fixed = {}
+        for label, m in action.items():
+            if n:
+                m = freeze(m)
+                if len(m) != n or len(m[0]) != n:
+                    raise ValueError(f"generator {label} must be {n}x{n}")
+            fixed[label] = reduce(m) if n else ()
+        self.action = fixed
+        if n:
+            check_relations(self._kind, fixed, identity(n),
+                            lambda a, b: reduce(multiply(a, b)))
 
 
 class EquivariantAbGroup(_GroupAction):
@@ -102,25 +124,16 @@ class EquivariantAbGroup(_GroupAction):
         self.action = {} if action is None else action
         if self.group.free_rank:
             raise ValueError("equivariant structure requires a finite group")
-        self._kind = _group_kind(self.action)
         divs = self.group.divisors
-        n = len(divs)
-        fixed = {}
-        for label, m in self.action.items():
-            m = freeze(m) if n else tuple()
-            if n and (len(m) != n or len(m[0]) != n):
-                raise ValueError(f"generator {label} must be {n}x{n}")
-            fixed[label] = _mod_entrywise(m, divs) if n else m
-        self.action = fixed
-        _check_relations(fixed, n, lambda m: _mod_entrywise(m, divs))
+        self._set_action(self.action, len(divs), lambda m: _mod_entrywise(m, divs))
 
 
 class ModularRep(_GroupAction):
     """A finite-dimensional representation over the field with ell elements.
 
     action maps generator labels to dim x dim matrices with entries
-    reduced mod ell; generators must be invertible and satisfy the
-    group relations.
+    reduced mod ell; generators must satisfy the group relations, which
+    makes each of them invertible.
     """
 
     __slots__ = ("ell", "dim", "action")
@@ -132,21 +145,7 @@ class ModularRep(_GroupAction):
         check_prime(ell)
         if dim < 0:
             raise ValueError("negative dimension")
-        self._kind = _group_kind(action)
-        reduce = self._reduce
-        fixed = {}
-        for label, m in action.items():
-            if dim:
-                m = reduce(freeze(m))
-                if len(m) != dim or len(m[0]) != dim:
-                    raise ValueError(f"generator {label} must be {dim}x{dim}")
-                if modp_rank(m, ell) != dim:
-                    raise ValueError(f"generator {label} is singular mod {ell}")
-            else:
-                m = tuple()
-            fixed[label] = m
-        self.action = fixed
-        _check_relations(fixed, dim, reduce)
+        self._set_action(action, dim, self._reduce)
 
     def _reduce(self, m: Matrix) -> Matrix:
         ell = self.ell
@@ -225,15 +224,8 @@ def irreducible_labels(group: str, ell: int) -> tuple[str, ...]:
     """
     if group not in GROUPS:
         raise ValueError(f"unknown group {group!r}")
-    if group == "trivial":
-        return ("1",)
-    if group == "C2":
-        return ("1",) if ell == 2 else ("1", "eps")
-    if ell == 2:
-        return ("1", "psi")
-    if ell == 3:
-        return ("1", "eps")
-    return ("1", "eps", "psi")
+    simples = GROUPS[group][3]
+    return simples.get(ell, simples[0])
 
 
 def composition_multiplicities(
@@ -256,16 +248,17 @@ def composition_multiplicities(
     labels = irreducible_labels(kind, ell)
     out = {label: 0 for label in labels}
 
-    if kind == "trivial" or (kind == "C2" and ell == 2):
+    if labels == ("1",):
         # only the trivial simple exists; length equals dimension
         out["1"] = dim
-    elif kind == "C2" or ell == 3:
-        # s diagonalizes mod an odd ell; for S3 mod 3 the 3-cycle acts
-        # unipotently, so the simples factor through the quotient of order 2
+    elif "psi" not in labels:
+        # C2 or S3 at an odd ell, where s diagonalizes; for S3 mod 3 the
+        # 3-cycle acts unipotently, so the simples factor through the
+        # quotient of order 2
         s = rep.action["s"]
         out["1"] = _eigenspace_dim(s, 1, ell, dim)
         out["eps"] = _eigenspace_dim(s, ell - 1, ell, dim)
-    elif ell == 2:
+    elif "eps" not in labels:
         # S3 mod 2: factors are "1" and the (still simple) 2-dimensional
         # psi.  On psi the 3-cycle has no nonzero fixed vector while on
         # "1" it is the identity, so dim ker(t - 1) counts the trivial

@@ -32,7 +32,7 @@ from operator import mul, neg
 
 from . import intmat
 from .intmat import FinAbGroup, FrozenRecord, Matrix
-from .modrep import GROUPS, EquivariantAbGroup, group_elements
+from .modrep import GROUPS, EquivariantAbGroup, check_relations, group_elements
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
@@ -52,8 +52,8 @@ class DynkinDiagram(FrozenRecord):
     __slots__ = ("series", "rank")
 
     def __init__(self, series: str, rank: int) -> None:
-        if type(rank) is not int:  # a bool or a float compares like an int
-            ok = False
+        if type(rank) is not int or not isinstance(series, str):
+            ok = False  # a bool or a float rank compares like an int
         elif series in SERIES_MIN_RANK:
             ok = rank >= SERIES_MIN_RANK[series]
         else:
@@ -425,8 +425,8 @@ def long_root_subsystem(d: DynkinDiagram) -> DynkinDiagram:
 
 
 def _perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # (p then q) as functions: composite[i] = q[p[i]]
-    return tuple(q[p[i]] for i in range(len(p)))
+    # p after q, as their permutation matrices multiply: composite[i] = p[q[i]]
+    return tuple([p[i] for i in q])
 
 
 class _ReadOnlyDict(dict):
@@ -485,18 +485,10 @@ class FoldingDatum(FrozenRecord):
                         f"generator {label} is not a diagram automorphism"
                     )
         ident = tuple(range(n))
-        if "s" in generators:
-            s = generators["s"]
-            if _perm_compose(s, s) != ident or s == ident:
-                raise ValueError("generator s must have order exactly 2")
-        if "t" in generators:
-            t = generators["t"]
-            tt = _perm_compose(t, t)
-            if _perm_compose(tt, t) != ident or t == ident or tt == ident:
-                raise ValueError("generator t must have order exactly 3")
-            s = generators["s"]
-            if _perm_compose(_perm_compose(s, t), s) != tt:
-                raise ValueError("generators must satisfy s t s = t^2")
+        for label, order in (("s", 2), ("t", 3)):
+            if generators.get(label) == ident:
+                raise ValueError(f"generator {label} must have order exactly {order}")
+        check_relations(symmetry, generators, ident, _perm_compose)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "gamma_hat", gamma_hat)
         object.__setattr__(self, "symmetry", symmetry)
@@ -509,12 +501,11 @@ class FoldingDatum(FrozenRecord):
     def elements(self) -> dict[str, tuple[int, ...]]:
         """All group elements as node permutations, keyed by reduced word.
 
-        A word acts right to left, as its matrix product does: "st"
-        applies t, then s.
+        A word composes its letters as their permutation matrices
+        multiply, so it acts right to left: "st" applies t, then s.
         """
         return group_elements(self.symmetry, self.generators,
-                              tuple(range(self.gamma_hat.rank)),
-                              lambda p, q: _perm_compose(q, p))
+                              tuple(range(self.gamma_hat.rank)), _perm_compose)
 
 
 def _binary_dihedral(order: int) -> str:

@@ -110,6 +110,8 @@ def test_freeze_rejects_garbage():
     ):
         with pytest.raises(ValueError, match=f"^non-integer entry {shown}$"):
             freeze(m)
+    with pytest.raises(ValueError, match=r"^shape mismatch 1x2 \* 1x2$"):
+        multiply([[1, 2]], [[3, 4]])
 
     class Count(int):
         pass
@@ -311,6 +313,8 @@ def test_determinant_bareiss():
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n, 9)
         assert determinant(m) == cofactor_det(m)
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        determinant([[1, 2]])
 
 
 def test_fin_ab_group_validation():
@@ -436,6 +440,8 @@ def test_induced_matches_coset_oracle():
 def test_induced_rejects_non_preserving():
     with pytest.raises(LatticeError, match="does not preserve image lattice"):
         induced_endomorphism([[2, 0], [0, 4]], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="^endomorphism must be 2x2$"):
+        induced_endomorphism(A2, identity(3))
     # oracle agrees that the swap moves the lattice
     assert not oracles.in_column_lattice(
         ((2, 0), (0, 4)), (0, 2)

@@ -142,7 +142,7 @@ def test_modular_rep_validation():
     assert r.action["s"] == ((2,),)
     assert r.kind == "C2"
     assert ModularRep(5, 0, {}).kind == "trivial"
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match="^generator s must square to the identity$"):
         ModularRep(2, 2, {"s": ((1, 1), (1, 1))})
     with pytest.raises(ValueError, match="square to the identity"):
         ModularRep(5, 1, {"s": ((2,),)})

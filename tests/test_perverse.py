@@ -70,6 +70,10 @@ def test_cone_data_validation():
     with pytest.raises(ValueError, match="positive dimension"):
         ConeData("x", 0, {0: LinkEntry(1)})
     assert ConeData("x", 1, {0: LinkEntry(1)}).open_dim == 1
+    with pytest.raises(ValueError, match="^bad link entry at '1'$"):
+        ConeData("x", 2, {0: LinkEntry(1), "1": ZERO_ENTRY})
+    with pytest.raises(ValueError, match="^bad link entry at 1$"):
+        ConeData("x", 2, {0: LinkEntry(1), 1: (0, ())})
     with pytest.raises(ValueError, match="H\\^0 = O"):
         ConeData("x", 2, {})
     with pytest.raises(ValueError, match="H\\^0 = O"):
