@@ -22,7 +22,7 @@ from functools import partial
 
 from . import tables
 from .intmat import PRIME_BOUND, is_prime
-from .omodule import DegreeWindowError, FGraded, GradedOModule, degree_window
+from .omodule import DegreeWindowError, degree_window
 from .perverse import (
     ConeError,
     ExtensionFlavor,
@@ -163,14 +163,6 @@ def _module_cells(m) -> dict:
     return {"rank": m.rank, "torsion": list(m.torsion)}
 
 
-def _stalk_json(g: GradedOModule) -> list[dict]:
-    return [{"degree": deg, **_module_cells(m)} for deg, m in g.items()]
-
-
-def _fgraded_json(f: FGraded) -> list[dict]:
-    return [{"degree": deg, "dim": dim} for deg, dim in f.dims().items()]
-
-
 def _integral_module_text(m) -> str:
     parts = []
     if m.rank == 1:
@@ -217,10 +209,8 @@ def _run_simple(parser, args) -> tuple[dict, list[str]]:
     results = {
         "singularity": cone.label,
         "fundamental_group": str(group),
-        "link": [
-            {"degree": deg, "rank": e.rank, "torsion": list(e.torsion)}
-            for deg, e in sorted(cone.link_cohomology.items())
-        ],
+        "link": [{"degree": deg, **_module_cells(e)}
+                 for deg, e in sorted(cone.link_cohomology.items())],
         "decomposition_numbers": numbers,
     }
     text = [f"{cone.label}: fundamental group {group}"]
@@ -286,30 +276,18 @@ def _run_stalks(parser, args) -> tuple[dict, list[str]]:
     }
     text = [f"{cone.label}, flavor {flavor.label()}, coefficients "
             + results["coefficients"]]
+    # one (degree, JSON cells, text cell) row per nonzero degree
     if args.coeff == "F":
-        table = f_extension_stalk(cone, flavor, args.ell)
-        results["stalk"] = _fgraded_json(table)
-        text += [f"  H^{deg} = F_{args.ell}^{dim}" for deg, dim in table.dims().items()]
-        if not table.dims():
-            text.append("  0")
+        rows = [(deg, {"dim": dim}, f"F_{args.ell}^{dim}")
+                for deg, dim in f_extension_stalk(cone, flavor, args.ell).items()]
+    elif args.coeff == "K":
+        rows = [(deg, {"dim": m.rank}, "K" + (f"^{m.rank}" if m.rank > 1 else ""))
+                for deg, m in extension_stalk(cone, flavor).items() if m.rank]
     else:
-        stalk = extension_stalk(cone, flavor)
-        if args.coeff == "K":
-            results["stalk"] = [
-                {"degree": deg, "dim": m.rank} for deg, m in stalk.items() if m.rank
-            ]
-            shown = False
-            for deg, m in stalk.items():
-                if m.rank:
-                    text.append(f"  H^{deg} = K" + (f"^{m.rank}" if m.rank > 1 else ""))
-                    shown = True
-            if not shown:
-                text.append("  0")
-        else:
-            results["stalk"] = _stalk_json(stalk)
-            text += [f"  H^{deg} = {_integral_module_text(m)}" for deg, m in stalk.items()]
-            if stalk.is_zero():
-                text.append("  0")
+        rows = [(deg, _module_cells(m), _integral_module_text(m))
+                for deg, m in extension_stalk(cone, flavor).items()]
+    results["stalk"] = [{"degree": deg, **cells} for deg, cells, _ in rows]
+    text += [f"  H^{deg} = {cell}" for deg, _, cell in rows] or ["  0"]
     return results, text
 
 

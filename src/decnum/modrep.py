@@ -3,13 +3,14 @@
 Only three symmetry groups ever show up downstream (trivial, the order-2
 group, and the symmetric group on three letters), so representation
 theory here is a handful of closed-form regimes rather than a general
-character-theory engine.  Everything this module and rootsys know about
-those groups sits in one table, GROUPS: per kind its generators, its
-elements as words in them, its defining relations, and its simple
-modules mod l.  check_relations is the one routine that checks those
-relations, on folding permutations (rootsys.FoldingDatum), on actions
-mod the invariant factors (EquivariantAbGroup) and on matrices mod l
-(ModularRep).  Irreducible labels are fixed strings:
+character-theory engine.  Everything known about those groups sits in
+one table, GROUPS: per kind its generators, its elements as words in
+them, its defining relations, and its simple modules mod l.  Only this
+module reads it, and an unknown kind is refused with "unknown group".
+check_relations is the one routine that checks the generator labels and
+the relations, on folding permutations (rootsys.FoldingDatum), on
+actions mod the invariant factors (EquivariantAbGroup) and on matrices
+mod l (ModularRep).  Irreducible labels are fixed strings:
 
     "1"    trivial character (dimension 1)
     "eps"  sign character    (dimension 1)
@@ -46,6 +47,12 @@ _KIND = {entry[0]: kind for kind, entry in GROUPS.items()}
 CHARACTER_DIMS = {"1": 1, "eps": 1, "psi": 2}
 
 
+def _group(kind) -> tuple:
+    if not isinstance(kind, str) or kind not in GROUPS:
+        raise ValueError(f"unknown group {kind!r}")
+    return GROUPS[kind]
+
+
 def _word_value(word: str, gens: dict, unit, compose):
     if word == "e":
         return unit
@@ -61,17 +68,20 @@ def group_elements(kind: str, gens: dict, unit, compose) -> dict:
     A word's value is compose folded over its letters' values from the
     left; "e" is unit.
     """
-    return {word: _word_value(word, gens, unit, compose) for word in GROUPS[kind][1]}
+    return {word: _word_value(word, gens, unit, compose) for word in _group(kind)[1]}
 
 
 def check_relations(kind: str, gens: dict, unit, compose) -> None:
-    """Refuse gens unless they satisfy every defining relation of kind.
+    """Refuse gens unless they are kind's generators and satisfy its relations.
 
     Both words of a relation are valued as in group_elements and compared
-    with ==, so compose must return its values in one normal form.  The
-    first relation that fails raises ValueError with its message.
+    with ==, so compose must return its values in one normal form.  Wrong
+    labels, or the first relation that fails, raise ValueError.
     """
-    for lhs, rhs, message in GROUPS[kind][2]:
+    labels, _, relations, _ = _group(kind)
+    if tuple(sorted(gens)) != labels:
+        raise ValueError("generator labels do not match symmetry group")
+    for lhs, rhs, message in relations:
         if _word_value(lhs, gens, unit, compose) != _word_value(rhs, gens, unit, compose):
             raise ValueError(message)
 
@@ -217,14 +227,15 @@ def reduce_mod_l(e: EquivariantAbGroup, ell: int) -> ModularRep:
 def irreducible_labels(group: str, ell: int) -> tuple[str, ...]:
     """Irreducible F_ell-representations of the given group, by label.
 
+    An ell that is not a prime, or an unknown group, raises ValueError.
+
     >>> irreducible_labels("S3", 2)
     ('1', 'psi')
     >>> irreducible_labels("C2", 2)
     ('1',)
     """
-    if group not in GROUPS:
-        raise ValueError(f"unknown group {group!r}")
-    simples = GROUPS[group][3]
+    check_prime(ell)
+    simples = _group(group)[3]
     return simples.get(ell, simples[0])
 
 

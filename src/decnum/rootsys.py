@@ -32,7 +32,7 @@ from operator import mul, neg
 
 from . import intmat
 from .intmat import FinAbGroup, FrozenRecord, Matrix
-from .modrep import GROUPS, EquivariantAbGroup, check_relations, group_elements
+from .modrep import EquivariantAbGroup, check_relations, group_elements
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
 EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
@@ -451,10 +451,11 @@ class FoldingDatum(FrozenRecord):
     generators, a read-only copy of the argument (so a folding hashes),
     maps generator labels to node permutations of gamma_hat (perm[i] is
     the image of node i, 0-based).  The labels are those of the symmetry
-    group in modrep.GROUPS: "s" for the order-2 generator and
-    additionally "t" (order 3) when the group is S3.  quotient_groups
-    names the finite subgroup pair (H in H-hat) whose quotient surface
-    realizes the singularity; it is purely documentary.
+    group in modrep, checked there with its relations: "s" for the
+    order-2 generator and additionally "t" (order 3) when the group is
+    S3.  quotient_groups names the finite subgroup pair (H in H-hat)
+    whose quotient surface realizes the singularity (the McKay
+    correspondence); it is purely documentary.
     """
 
     __slots__ = ("gamma", "gamma_hat", "symmetry", "generators", "quotient_groups")
@@ -470,8 +471,6 @@ class FoldingDatum(FrozenRecord):
         if not gamma_hat.simply_laced:
             raise ValueError(f"unfolding {gamma_hat} is not simply laced")
         generators = {} if generators is None else generators
-        if tuple(sorted(generators)) != GROUPS[symmetry][0]:
-            raise ValueError("generator labels do not match symmetry group")
         # a permutation that maps each nonzero off-diagonal Cartan entry to
         # an equal one also maps the zeros to zeros
         entries = _off_diagonal(gamma_hat)
@@ -496,7 +495,7 @@ class FoldingDatum(FrozenRecord):
         object.__setattr__(self, "quotient_groups", quotient_groups)
 
     def symmetry_order(self) -> int:
-        return len(GROUPS[self.symmetry][1])
+        return len(self.elements())
 
     def elements(self) -> dict[str, tuple[int, ...]]:
         """All group elements as node permutations, keyed by reduced word.

@@ -214,14 +214,9 @@ def render_markdown(tables: dict) -> str:
     for r in tables["subregular"]:
         chars = r["characters"]
         grid.append(
-            [
-                r["singularity"], r["unfolding"], r["symmetry"],
-                unicode_group(r["fundamental_group"]), str(r["ell"]),
-                str(r["plain"]),
-                str(chars["1"]) if "1" in chars else "-",
-                str(chars["eps"]) if "eps" in chars else "-",
-                str(chars["psi"]) if "psi" in chars else "-",
-            ]
+            [r["singularity"], r["unfolding"], r["symmetry"],
+             unicode_group(r["fundamental_group"]), str(r["ell"]), str(r["plain"])]
+            + [str(chars.get(label, "-")) for label in ("1", "eps", "psi")]
         )
     lines += _md(grid) + [""]
 

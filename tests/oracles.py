@@ -10,6 +10,7 @@ the logged sparse reduction with one helper call per elementary step
 (no inlined loop), a submodule-lattice walk for composition factors
 (no character theory), central idempotents for S3 factors (no eigenspaces), the McKay
 abelianisation for the middle link torsion (no Cartan matrix), the
+McKay types of the folding quotient groups (no diagram), the
 dense generalized-Cartan check (no sparse rows), and the module
 constructors and stalk refusals with one helper call per check (no
 inlined checks).  Values frozen in the tests were produced by these
@@ -660,6 +661,31 @@ def mckay_abelianisation(series: str, rank: int) -> tuple[int, ...]:
     divisors, free, _ = dense_cokernel(dense_reduction(relations))
     assert not free, "binary polyhedral groups are finite"
     return divisors
+
+
+_POLYHEDRAL = {
+    "binary tetrahedral": ("E6", 24),
+    "binary octahedral": ("E7", 48),
+    "binary icosahedral": ("E8", 120),
+}
+
+
+def mckay_type(group: str) -> tuple[str, int]:
+    """(simply-laced type, order) of a finite subgroup of SL_2(C), by name.
+
+    The McKay correspondence: cyclic of order n is A_{n-1}; binary
+    dihedral of order 4m is D_{m+2}, spelled A3 when m = 1 (that group is
+    cyclic of order 4); binary tetrahedral, octahedral and icosahedral
+    are E6, E7 and E8.
+    """
+    if group in _POLYHEDRAL:
+        return _POLYHEDRAL[group]
+    family, _, order = group.partition(" of order ")
+    n = int(order)
+    if family == "cyclic":
+        return f"A{n - 1}", n
+    assert family == "binary dihedral" and n % 4 == 0, group
+    return ("A3" if n == 4 else f"D{n // 4 + 2}"), n
 
 
 # ------------------------------------------------------------ stalk calculus

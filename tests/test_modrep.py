@@ -211,6 +211,10 @@ def test_irreducible_labels():
     assert irreducible_labels("S3", 7) == ("1", "eps", "psi")
     with pytest.raises(ValueError, match="unknown group"):
         irreducible_labels("C3", 2)
+    with pytest.raises(ValueError, match="^ell must be a prime, got 4$"):
+        irreducible_labels("S3", 4)
+    with pytest.raises(ValueError, match="^ell must be a prime, got 1$"):
+        irreducible_labels("C2", 1)
 
 
 def test_character_dims():

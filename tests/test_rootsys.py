@@ -690,6 +690,16 @@ def test_folding_homogeneous_cases():
         assert f.elements() == {"e": tuple(range(d.rank))}
 
 
+def test_folding_quotient_groups_follow_mckay():
+    # H in H-hat: C^2/H is the simple singularity of type gamma_hat, and
+    # H-hat/H is the folding symmetry
+    classical = {DynkinDiagram(s, n) for s in "ABCD" for n in range(SERIES_MIN_RANK[s], 61)}
+    for d in classical | set(ALL_DIAGRAMS_RANK_LE_8):
+        f = folding(d)
+        (h_type, h_order), (_, hat_order) = map(oracles.mckay_type, f.quotient_groups)
+        assert h_type == str(f.gamma_hat), d
+        assert hat_order == h_order * f.symmetry_order(), d
+
 def test_folding_datum_validation():
     a3 = DynkinDiagram("A", 3)
     with pytest.raises(ValueError, match="diagram automorphism"):
@@ -700,6 +710,13 @@ def test_folding_datum_validation():
         FoldingDatum(a3, a3, "C2", {"s": (0, 0, 2)})
     with pytest.raises(ValueError, match="generator labels"):
         FoldingDatum(a3, a3, "C2", {})
+    b3 = DynkinDiagram("B", 3)
+    with pytest.raises(ValueError, match="^unfolding B3 is not simply laced$"):
+        FoldingDatum(b3, b3, "trivial")
+    with pytest.raises(ValueError, match="^unknown group 'C3'$"):
+        FoldingDatum(a3, a3, "C3", {"s": (2, 1, 0)})
+    with pytest.raises(ValueError, match=r"^unknown group \['C2'\]$"):
+        FoldingDatum(a3, a3, ["C2"], {"s": (2, 1, 0)})
     d4 = DynkinDiagram("D", 4)
     with pytest.raises(ValueError, match="^generator t must cube to the identity$"):
         FoldingDatum(
