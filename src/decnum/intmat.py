@@ -316,23 +316,23 @@ def _reduce(m: Matrix) -> tuple[list[dict[int, int]], list, list]:
                 p = -p
             # clear column s below and row s to the right; rows and columns
             # left of s are clear, so s sorts first.  Floor quotients leave
-            # remainders in [0, pivot), so magnitudes shrink each pass
+            # remainders in [0, p), so magnitudes shrink each pass.  p is least
+            # in column s, so no row q is 0; row s may hold less after a witness
             for i in sorted(column)[1:]:
                 row = a[i]
                 q = -(row[s] // p)
-                if q:
-                    for k, y in pivot.items():
-                        if k in row:
-                            x = row[k] + q * y
-                            if x:
-                                row[k] = x
-                            else:
-                                del row[k]
-                                cols[k].remove(i)
+                for k, y in pivot.items():
+                    if k in row:
+                        x = row[k] + q * y
+                        if x:
+                            row[k] = x
                         else:
-                            row[k] = q * y
-                            cols[k].add(i)
-                    rowlog.append((i, s, q))
+                            del row[k]
+                            cols[k].remove(i)
+                    else:
+                        row[k] = q * y
+                        cols[k].add(i)
+                rowlog.append((i, s, q))
             for j in sorted(pivot)[1:]:
                 q = -(pivot[j] // p)
                 if q:
@@ -472,8 +472,6 @@ def induced_endomorphism(
     h = {i: _replay(rowlog, _row_times(_replay(backwards, _unit(rows, i)), g), -1)
          for i, d in enumerate(eff) if d != 1}
     for j in range(rows):
-        if eff[j] == 0:
-            continue
         for i, row in h.items():
             val = eff[j] * row[j]
             ok = (val == 0) if eff[i] == 0 else (val % eff[i] == 0)

@@ -153,6 +153,8 @@ class ModularRep(_GroupAction):
         self.dim = dim
         self.action = action = {} if action is None else action
         check_prime(ell)
+        if type(dim) is not int:
+            raise ValueError(f"dim must be an int, got {dim!r}")
         if dim < 0:
             raise ValueError("negative dimension")
         self._set_action(action, dim, self._reduce)
@@ -239,9 +241,7 @@ def irreducible_labels(group: str, ell: int) -> tuple[str, ...]:
     return simples.get(ell, simples[0])
 
 
-def composition_multiplicities(
-    rep: ModularRep, group: str | None = None
-) -> dict[str, int]:
+def composition_multiplicities(rep: ModularRep) -> dict[str, int]:
     """Composition factor multiplicities of rep, keyed by label.
 
     Every label from irreducible_labels appears, possibly with
@@ -252,11 +252,8 @@ def composition_multiplicities(
     >>> composition_multiplicities(r)
     {'1': 0, 'eps': 1}
     """
-    kind = rep.kind
-    if group is not None and group != kind:
-        raise ValueError(f"representation is of kind {kind}, not {group}")
     ell, dim = rep.ell, rep.dim
-    labels = irreducible_labels(kind, ell)
+    labels = irreducible_labels(rep.kind, ell)
     out = {label: 0 for label in labels}
 
     if labels == ("1",):

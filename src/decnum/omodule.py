@@ -165,12 +165,12 @@ class GradedOModule:
 class FGraded:
     """Graded vector space over a field, recorded as degree -> dimension.
 
-    coefficients is a display label such as "F_2" or "K".
+    Zero dimensions are dropped, so equal objects have equal support.
     """
 
-    __slots__ = ("_dims", "coefficients")
+    __slots__ = ("_dims",)
 
-    def __init__(self, dims: Mapping[int, int], coefficients: str = "F"):
+    def __init__(self, dims: Mapping[int, int]):
         store: dict[int, int] = {}
         lo = None
         ascending = True
@@ -189,7 +189,6 @@ class FGraded:
                 store[deg] = dim
                 top = deg
         self._dims = store if ascending else dict(sorted(store.items()))
-        self.coefficients = coefficients
 
     def dims(self) -> dict[int, int]:
         return dict(self._dims)
@@ -218,17 +217,17 @@ class FGraded:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FGraded):
             return NotImplemented
-        return self._dims == other._dims and self.coefficients == other.coefficients
+        return self._dims == other._dims
 
     def __hash__(self):
-        return hash((tuple(self._dims.items()), self.coefficients))
+        return hash(tuple(self._dims.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{d}: {v}" for d, v in self._dims.items())
-        return f"FGraded({{{inner}}}, {self.coefficients!r})"
+        return f"FGraded({{{inner}}})"
 
 
-def reduce_graded(g: GradedOModule, coefficients: str = "F") -> FGraded:
+def reduce_graded(g: GradedOModule) -> FGraded:
     """Derived reduction mod pi: dim_i = rank_i + t_i + t_{i+1}.
 
     Torsion in degree i contributes once in place and once one degree
@@ -248,7 +247,7 @@ def reduce_graded(g: GradedOModule, coefficients: str = "F") -> FGraded:
             dims[below] = dims[below] + t if below == top else t
         dims[deg] = m.rank + t
         top = deg
-    return FGraded(dims, coefficients)
+    return FGraded(dims)
 
 
 def truncate_F(f: FGraded, n: int, floor: float = -math.inf) -> FGraded:
@@ -257,9 +256,7 @@ def truncate_F(f: FGraded, n: int, floor: float = -math.inf) -> FGraded:
     >>> truncate_F(FGraded({-3: 1, -2: 1, 0: 2}), -1, floor=-2).dims()
     {-2: 1}
     """
-    return FGraded(
-        {d: v for d, v in f.items() if floor <= d <= n}, f.coefficients
-    )
+    return FGraded({d: v for d, v in f.items() if floor <= d <= n})
 
 
 def poincare_dual(hc: GradedOModule, real_dim: int) -> GradedOModule:
@@ -277,7 +274,5 @@ def poincare_dual(hc: GradedOModule, real_dim: int) -> GradedOModule:
     out = {}
     for k in range(min(degs), max(degs) + 1):
         rank = hc.module_at(real_dim - k).rank
-        torsion = hc.module_at(real_dim - k + 1).torsion
-        if rank or torsion:
-            out[k] = OModule(rank, torsion)
+        out[k] = OModule(rank, hc.module_at(real_dim - k + 1).torsion)
     return GradedOModule(out)

@@ -147,17 +147,21 @@ class ConeData(Record):
         self.link_cohomology = link_cohomology
         self.completeness = completeness
         self.equivariant_degrees = {} if equivariant_degrees is None else equivariant_degrees
-        if self.open_dim < 1:
+        if type(open_dim) is not int:
+            raise ValueError(f"open_dim must be an int, got {open_dim!r}")
+        if open_dim < 1:
             raise ValueError("open part must have positive dimension")
         for deg, entry in self.link_cohomology.items():
-            if not isinstance(deg, int) or not isinstance(entry, LinkEntry):
+            if type(deg) is not int or not isinstance(entry, LinkEntry):
                 raise ValueError(f"bad link entry at {deg!r}")
-        if self.completeness == "full":
+        if completeness == "full":
             zero = self.link_cohomology.get(0, ZERO_ENTRY)
             if zero != LinkEntry(1, ()):
                 raise ValueError("a full link table must have H^0 = O")
+        elif type(completeness) is not tuple or [*map(type, completeness)] != [int, int]:
+            raise ValueError(f"completeness must be 'full' or (lo, hi), got {completeness!r}")
         else:
-            lo, hi = self.completeness
+            lo, hi = completeness
             if lo > hi:
                 raise ValueError("empty completeness window")
             for deg in self.link_cohomology:
@@ -167,6 +171,8 @@ class ConeData(Record):
                 if deg not in self.link_cohomology:
                     raise ValueError(f"window degree {deg} missing an entry")
         for deg, eq in self.equivariant_degrees.items():
+            if type(deg) is not int or not isinstance(eq, EquivariantAbGroup):
+                raise ValueError(f"bad equivariant entry at {deg!r}")
             entry = self.entry_or_none(deg)
             if entry is None:
                 raise ValueError(f"equivariant action at unknown degree {deg}")
@@ -397,7 +403,7 @@ def f_extension_stalk(c: ConeData, f: ExtensionFlavor, ell: int) -> FGraded:
     shifted = f.shifted_threshold
     _check_covered(d + shifted, hi, f)
     band = GradedOModule(_band(c, ell=ell, skip_unknown=True))
-    reduced = reduce_graded(band, coefficients=f"F_{ell}")
+    reduced = reduce_graded(band)
     return truncate_F(reduced, shifted, lo - d)
 
 
@@ -445,9 +451,7 @@ def decomposition_number(c: ConeData, ell: int) -> int:
     """
     middle, floor = _check_euler_hypotheses(c, ell)
     flavor = FLAVOR_CHAIN[2]  # p,!*
-    o_side = reduce_graded(
-        localize_stalk(extension_stalk(c, flavor), ell), coefficients=f"F_{ell}"
-    )
+    o_side = reduce_graded(localize_stalk(extension_stalk(c, flavor), ell))
     f_side = f_extension_stalk(c, flavor, ell)
     # compare only degrees the known window speaks for
     diff = sum(
@@ -492,7 +496,7 @@ def equivariant_decomposition(c: ConeData, group: str, ell: int) -> Decompositio
     if eq.kind != group:
         raise ConeError(f"cone carries a {eq.kind} action, not {group}")
     plain = decomposition_number(c, ell)
-    per = composition_multiplicities(reduce_mod_l(eq, ell), group)
+    per = composition_multiplicities(reduce_mod_l(eq, ell))
     if sum(CHARACTER_DIMS[lb] * v for lb, v in per.items()) != plain:
         raise AssertionError("character multiplicities do not add up")
     return DecompositionReport(

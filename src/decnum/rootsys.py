@@ -133,7 +133,7 @@ class RootSystemData(FrozenRecord):
     for roots[i] (every root of a simply-laced system counts as long).
     generate_roots sets the other fields in the call and leaves roots
     and lengths unset; their first read closes the roots from cartan,
-    checks that highest_root tops and dominates them, and sets both.
+    checks that highest_root is the top root, and sets both.
     """
 
     __slots__ = ("cartan", "roots", "lengths", "highest_root", "dual_coxeter")
@@ -165,7 +165,7 @@ class RootSystemData(FrozenRecord):
 def _close_roots(cartan: Matrix, highest: tuple[int, ...]):
     """roots and lengths of a finite-type Cartan matrix, closed under the
     raising simple reflections, after checking that highest is their top
-    root and dominates every root.
+    root.
 
     Coordinates are with respect to the simple roots, so reflection i
     sends v to v with v[i] replaced by v[i] - p[i], where p[i] = sum_j
@@ -215,10 +215,7 @@ def _close_roots(cartan: Matrix, highest: tuple[int, ...]):
                 nxt.append((w, q))
         frontier = nxt
     positive = sorted(origin)
-    # the highest root dominates every root, so it is also the largest
-    # and each of its coordinates is that coordinate's maximum; every
-    # negative root lies below 0, so checking the positive ones suffices
-    if positive[-1] != highest or tuple(map(max, zip(*positive))) != highest:
+    if positive[-1] != highest:
         raise AssertionError("highest root fails to dominate")
     # (v, v) up to the common factor 1/2 is sum_ij v_i v_j C[i][j] L[j],
     # which is 2 L[i] on the simple root a_i
@@ -341,7 +338,7 @@ def generate_roots(cartan) -> RootSystemData:
 
     roots and lengths are left unset.  Their first read closes the roots
     from the record's cartan (_close_roots), checks that highest_root is
-    the top root and dominates every root, and sets both fields.
+    the top root, and sets both fields.
 
     >>> rs = generate_roots(cartan_matrix(DynkinDiagram("A", 2)))
     >>> (len(rs.roots), rs.dual_coxeter, rs.highest_root)

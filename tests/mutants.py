@@ -1,11 +1,14 @@
 """Mutants of src/decnum, each run against the tests of its module.
 
-Two operators, each applied to one site at a time in a copy of the
+Three operators, each applied to one site at a time in a copy of the
 repository in a temporary directory:
 
 * raise -> pass: a `raise` statement becomes `pass`;
 * comparison flip: one operator of a comparison becomes its negation
-  (< and >=, <= and >, == and !=, in and not in, is and is not).
+  (< and >=, <= and >, == and !=, in and not in, is and is not);
+* if-test: the test of an `if` or `elif` becomes True, and also False
+  unless its body is a lone `raise` with no else, which raise -> pass
+  already covers.
 
 A mutant of src/decnum/<module>.py runs the test files MODULE_TESTS
 names for that module, the whole-program tests in COMMON_TESTS and the
@@ -14,7 +17,7 @@ cap.  A mutant survives when that run passes: no test notices the
 change.  A run that times out or crashes counts as killed.  The
 survivors are written as JSON, one object per site.
 
-Run from anywhere (about 27 minutes on a 2-vCPU machine):
+Run from anywhere (about 36 minutes on a 2-vCPU machine):
 
     python tests/mutants.py [--out survivors.json]
 
@@ -39,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "decnum"
-TIMEOUT = 120.0  # seconds one mutant's tests may run
+TIMEOUT = 40.0  # seconds one mutant's tests may run
 MEMORY = 2 << 30  # bytes of address space one mutant's tests may map
 
 COMMON_TESTS = ("test_golden_cli.py", "test_acceptance.py", "test_cli.py")
@@ -62,8 +65,8 @@ _FLIP = {a: b for pair in _PAIRS for a, b in (pair, pair[::-1])}
 def sites(root: Path) -> list[dict]:
     """Every mutation site under root/src/decnum, in file and span order.
 
-    A site carries the node's span (1-based lines, 0-based UTF-8 byte
-    columns, as ast reports them) and the source text that replaces it.
+    A site carries the mutated node's span (1-based lines, 0-based UTF-8
+    byte columns, as ast reports them) and the source text that replaces it.
     """
     found = []
     for path in sorted((root / PACKAGE).glob("*.py")):
@@ -71,25 +74,31 @@ def sites(root: Path) -> list[dict]:
         lines = text.splitlines()
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Raise):
-                mutants = [("raise -> pass", "pass")]
+                mutants = [(node, "raise -> pass", "pass")]
             elif isinstance(node, ast.Compare):
                 mutants = []
                 for i, op in enumerate(node.ops):
                     ops = list(node.ops)
                     ops[i] = _FLIP[type(op)]()
                     flipped = ast.Compare(node.left, ops, node.comparators)
-                    mutants.append(("comparison flip", ast.unparse(flipped)))
+                    mutants.append((node, "comparison flip", ast.unparse(flipped)))
+            elif isinstance(node, ast.If):
+                lone_raise = (not node.orelse and len(node.body) == 1
+                              and isinstance(node.body[0], ast.Raise))
+                values = ("True",) if lone_raise else ("True", "False")
+                mutants = [(node.test, "if-test", value) for value in values]
             else:
                 continue
-            for operator, replacement in mutants:
+            for target, operator, replacement in mutants:
                 found.append({
                     "file": str(path.relative_to(root)),
                     "module": path.stem,
-                    "line": node.lineno,
+                    "line": target.lineno,
                     "operator": operator,
-                    "span": (node.lineno, node.col_offset, node.end_lineno, node.end_col_offset),
+                    "span": (target.lineno, target.col_offset,
+                             target.end_lineno, target.end_col_offset),
                     "replacement": replacement,
-                    "code": lines[node.lineno - 1].strip(),
+                    "code": lines[target.lineno - 1].strip(),
                 })
     found.sort(key=lambda site: (site["file"], site["span"], site["replacement"]))
     return found

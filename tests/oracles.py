@@ -958,7 +958,7 @@ def per_check_f_extension_stalk(c, f, ell):
     intmat.check_prime(ell)
     _per_check_covered(c, f)
     band = omodule.GradedOModule(_per_check_band(c, ell=ell, skip_unknown=True))
-    reduced = omodule.reduce_graded(band, coefficients=f"F_{ell}")
+    reduced = omodule.reduce_graded(band)
     return omodule.truncate_F(reduced, f.shifted_threshold, c._bounds()[0] - c.open_dim)
 
 
@@ -978,8 +978,7 @@ def per_check_decomposition_number(c, ell):
         raise perverse.ConeError(f"insufficient link data: rank unknown at degree {d}")
     flavor = perverse.FLAVOR_CHAIN[2]  # p,!*
     o_side = omodule.reduce_graded(
-        perverse.localize_stalk(per_check_extension_stalk(c, flavor), ell),
-        coefficients=f"F_{ell}",
+        perverse.localize_stalk(per_check_extension_stalk(c, flavor), ell)
     )
     f_side = per_check_f_extension_stalk(c, flavor, ell)
     floor = c._bounds()[0] - d

@@ -431,18 +431,23 @@ def test_wide_window_allows_deep_minimal(capsys, monkeypatch):
     ("tables", "--format", "markdown"),
     ("simple", "--type", "A", "--rank", "3"),
 ])
-def test_closed_pipe_ends_silently(argv):
+def test_closed_pipe_ends_silently(capsys, argv):
     # a reader that stops early (`decnum tables | head`) closes the pipe;
     # the answer was already computed, so no traceback and exit 0
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONIOENCODING="utf-8")
+    command = [sys.executable, "-m", "decnum.cli", *argv]
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "decnum.cli", *argv], stdout=write,
-                              stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        done = subprocess.run(command, stdout=write, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=60)
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (0, "")
+    # with a reader, `python -m decnum.cli` writes what main writes
+    shown = subprocess.run(command, capture_output=True, env=env, timeout=60)
+    assert shown.stdout == run_cli(capsys, *argv)[1].encode("utf-8")
 
 
 def readme_examples():

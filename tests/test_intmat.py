@@ -321,6 +321,7 @@ def test_fin_ab_group_validation():
     g = FinAbGroup((2, 4), 1)
     assert str(g) == "Z/2 x Z/4 x Z"
     assert str(FinAbGroup()) == "0"
+    assert str(FinAbGroup((2,), 2)) == "Z/2 x Z^2"
     assert FinAbGroup((3, 6)).order() == 18
     with pytest.raises(ValueError):
         FinAbGroup((4, 2))

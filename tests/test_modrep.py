@@ -154,6 +154,9 @@ def test_modular_rep_validation():
         ModularRep(4, 1, {"s": ((3,),)})
     with pytest.raises(ValueError, match="negative dimension"):
         ModularRep(2, -1, {})
+    for dim in (1.5, "1", True):
+        with pytest.raises(ValueError, match=f"^dim must be an int, got {dim!r}$"):
+            ModularRep(2, dim)
 
 
 def test_modular_rep_elements():
@@ -241,13 +244,6 @@ def test_multiplicities_frozen_cases():
     assert composition_multiplicities(s3_regular(7)) == {"1": 1, "eps": 1, "psi": 2}
     # mod 3 the two-dimensional block contributes one of each linear factor
     assert composition_multiplicities(s3_blocks(3, (0, 0, 2))) == {"1": 2, "eps": 2}
-
-
-def test_multiplicities_group_argument():
-    r = ModularRep(3, 1, {"s": ((2,),)})
-    assert composition_multiplicities(r, "C2") == {"1": 0, "eps": 1}
-    with pytest.raises(ValueError, match="kind C2, not S3"):
-        composition_multiplicities(r, "S3")
 
 
 def test_zero_dimensional_reps():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -94,6 +95,19 @@ def test_cone_data_validation():
             "x", 2, {0: LinkEntry(1), 2: LinkEntry(0, (2,))},
             equivariant_degrees={2: EquivariantAbGroup(FinAbGroup((3,)))},
         )
+    for open_dim in (2.5, True):
+        with pytest.raises(ValueError, match=f"^open_dim must be an int, got {open_dim}$"):
+            ConeData("x", open_dim, {0: LinkEntry(1)})
+    with pytest.raises(ValueError, match="^bad link entry at True$"):
+        ConeData("x", 2, {0: LinkEntry(1), True: ZERO_ENTRY})
+    for window in ("partial", (5,), None, (5.0, 7)):
+        message = f"completeness must be 'full' or (lo, hi), got {window!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ConeData("x", 6, {5: ZERO_ENTRY, 6: ZERO_ENTRY, 7: ZERO_ENTRY},
+                     completeness=window)
+    with pytest.raises(ValueError, match="^bad equivariant entry at 2$"):
+        ConeData("x", 2, {0: LinkEntry(1), 2: LinkEntry(0, (2,))},
+                 equivariant_degrees={2: 5})
 
 
 def test_cone_entry_lookup():
@@ -272,7 +286,6 @@ def test_f_extension_stalk_simple():
     }
     f = f_extension_stalk(c, ExtensionFlavor("p", "*"), 2)
     assert f.dims() == {-2: 1, -1: 1, 0: 1}
-    assert f.coefficients == "F_2"
     # residue characteristic prime to the torsion: nothing survives but O
     for flavor in ("!", "!*", "*"):
         assert f_extension_stalk(
