@@ -3,7 +3,10 @@
 Everything is pure and deterministic.  Matrices are tuples of tuples of
 Python ints (arbitrary precision, so coefficient growth during reduction
 can never overflow or wrap).  Inputs are accepted as any nested sequence
-of ints and frozen on entry; no function mutates its arguments.
+of ints and frozen on entry; no function mutates its arguments.  Here
+and throughout the package an integer is an object of type int: a
+matrix entry, rank, degree, exponent, divisor or prime that is a bool
+or another int subclass is refused like a float.
 
 Smith reduction works on sparse rows in one loop that makes no call
 per elementary operation: a row or column addition updates the entries
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import compress
-from math import prod
+from math import inf, prod
 from operator import attrgetter
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -44,10 +47,8 @@ def freeze(m: Sequence[Sequence[int]]) -> Matrix:
         if len(row) != width:
             raise ValueError("ragged matrix")
         if set(map(type, row)) != {int}:
-            # name the first entry that is not an int (bool is refused)
-            for e in row:
-                if not isinstance(e, int) or isinstance(e, bool):
-                    raise ValueError(f"non-integer entry {e!r}")
+            e = next(e for e in row if type(e) is not int)
+            raise ValueError(f"non-integer entry {e!r}")
     return rows
 
 
@@ -140,11 +141,11 @@ def is_prime(n: int) -> bool:
 
 def check_prime(ell) -> None:
     """Refuse anything but a prime int below PRIME_BOUND with ValueError."""
-    if isinstance(ell, int) and ell >= PRIME_BOUND:
+    if type(ell) is int and ell >= PRIME_BOUND:
         raise ValueError(
             f"ell must be a prime below 2**64, got a {ell.bit_length()}-bit integer"
         )
-    if not isinstance(ell, int) or not is_prime(ell):
+    if type(ell) is not int or not is_prime(ell):
         raise ValueError(f"ell must be a prime, got {ell!r}")
 
 
@@ -233,12 +234,12 @@ class FinAbGroup(FrozenRecord):
     def __init__(self, divisors: tuple[int, ...] = (), free_rank: int = 0) -> None:
         divisors = tuple(divisors)
         for d in divisors:
-            if not isinstance(d, int) or d < 2:
+            if type(d) is not int or d < 2:
                 raise ValueError(f"invalid invariant factor {d!r}")
         for a, b in zip(divisors, divisors[1:]):
             if b % a != 0:
                 raise ValueError(f"divisor chain broken: {a} does not divide {b}")
-        if not isinstance(free_rank, int) or free_rank < 0:
+        if type(free_rank) is not int or free_rank < 0:
             raise ValueError(f"invalid free rank {free_rank!r}")
         object.__setattr__(self, "divisors", divisors)
         object.__setattr__(self, "free_rank", free_rank)
@@ -278,6 +279,7 @@ def _reduce(m: Matrix) -> tuple[list[dict[int, int]], list, list]:
     n = len(a)
     for s in range(min(n, len(cols))):
         repivot = True
+        last = inf
         while True:
             if repivot:
                 # move the pivot to (s, s); rows s on hold the whole block
@@ -291,6 +293,9 @@ def _reduce(m: Matrix) -> tuple[list[dict[int, int]], list, list]:
                                 break
                 if not e:
                     return a, rowlog, collog
+                if e >= last:  # each pass lowers |p| (see below), so the step ends
+                    raise AssertionError(f"repivot at step {s} did not lower |p| = {last}")
+                last = e
                 if r != s:
                     for k in a[s].keys() ^ a[r].keys():
                         cols[k] ^= {s, r}

@@ -77,12 +77,12 @@ class OModule(FrozenRecord):
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank: int, torsion: tuple[int, ...] = ()) -> None:
-        if not isinstance(rank, int) or rank < 0:
+        if type(rank) is not int or rank < 0:
             raise ValueError(f"invalid rank {rank!r}")
         if type(torsion) is not tuple or len(torsion) > 1:
             torsion = tuple(sorted(torsion, reverse=True))
         for e in torsion:
-            if not isinstance(e, int) or e < 1:
+            if type(e) is not int or e < 1:
                 raise ValueError(f"invalid torsion exponent {e!r}")
         _set_rank(self, rank)
         _set_torsion(self, torsion)
@@ -119,7 +119,7 @@ class GradedOModule:
         lo = None
         ascending = True
         for deg, mod in items:
-            if not isinstance(deg, int):
+            if type(deg) is not int:
                 raise ValueError(f"non-integer degree {deg!r}")
             if not isinstance(mod, OModule):
                 raise ValueError(f"degree {deg}: expected OModule, got {mod!r}")
@@ -175,7 +175,7 @@ class FGraded:
         lo = None
         ascending = True
         for deg, dim in dims.items():
-            if not isinstance(deg, int) or not isinstance(dim, int):
+            if type(deg) is not int or type(dim) is not int:
                 raise ValueError(f"bad graded dimension entry {deg!r}: {dim!r}")
             if dim < 0:
                 raise ValueError(f"negative dimension at degree {deg}")

@@ -70,7 +70,7 @@ class LinkEntry(FrozenRecord):
         if rank is None:
             if torsion:
                 raise ValueError("unknown-rank entries must be torsion-free")
-        elif not isinstance(rank, int) or rank < 0:
+        elif type(rank) is not int or rank < 0:
             raise ValueError(f"invalid rank {rank!r}")
         FinAbGroup(torsion)  # the invariant-factor checks
         object.__setattr__(self, "rank", rank)
@@ -147,6 +147,8 @@ class ConeData(Record):
         self.link_cohomology = link_cohomology
         self.completeness = completeness
         self.equivariant_degrees = {} if equivariant_degrees is None else equivariant_degrees
+        if not isinstance(label, str):
+            raise ValueError(f"label must be a str, got {label!r}")
         if type(open_dim) is not int:
             raise ValueError(f"open_dim must be an int, got {open_dim!r}")
         if open_dim < 1:

@@ -17,7 +17,7 @@ cap.  A mutant survives when that run passes: no test notices the
 change.  A run that times out or crashes counts as killed.  The
 survivors are written as JSON, one object per site.
 
-Run from anywhere (about 36 minutes on a 2-vCPU machine):
+Run from anywhere (about 19 minutes on a 2-vCPU AMD EPYC VM):
 
     python tests/mutants.py [--out survivors.json]
 

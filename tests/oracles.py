@@ -830,7 +830,7 @@ def reference_graded_items(modules):
     store = {}
     window = None
     for deg, mod in items:
-        if not isinstance(deg, int):
+        if type(deg) is not int:
             raise ValueError(f"non-integer degree {deg!r}")
         if not isinstance(mod, omodule.OModule):
             raise ValueError(f"degree {deg}: expected OModule, got {mod!r}")
@@ -849,7 +849,7 @@ def reference_f_items(dims):
     store = {}
     window = None
     for deg, dim in dims.items():
-        if not isinstance(deg, int) or not isinstance(dim, int):
+        if type(deg) is not int or type(dim) is not int:
             raise ValueError(f"bad graded dimension entry {deg!r}: {dim!r}")
         if dim < 0:
             raise ValueError(f"negative dimension at degree {deg}")
@@ -887,11 +887,11 @@ def reference_truncate_F(items, n, floor):
 # messages, are reference_graded_items and reference_f_items above.
 
 def per_check_omodule(rank, torsion=()):
-    if not isinstance(rank, int) or rank < 0:
+    if type(rank) is not int or rank < 0:
         raise ValueError(f"invalid rank {rank!r}")
     tors = tuple(sorted(torsion, reverse=True))
     for e in tors:
-        if not isinstance(e, int) or e < 1:
+        if type(e) is not int or e < 1:
             raise ValueError(f"invalid torsion exponent {e!r}")
     return rank, tors
 

@@ -98,7 +98,12 @@ def test_freeze_rejects_garbage():
         freeze([[1, 2], [3]])
     with pytest.raises(ValueError, match="^ragged matrix$"):
         freeze([[1, 2], [3, 4.5, 6]])
-    # the first entry that is not an int is named; bool is not an int here
+
+    class Count(int):
+        pass
+
+    # the first entry that is not an int is named; a bool or another int
+    # subclass is not an int here
     for m, shown in (
         ([[1.5]], "1.5"),
         ([[True]], "True"),
@@ -107,16 +112,13 @@ def test_freeze_rejects_garbage():
         ([[1.0, 2]], "1.0"),
         ([[1, 2], [3, "x"]], "'x'"),
         ([[1, None]], "None"),
+        ([[Count(3), 2**100], (-1, 0)], "3"),
     ):
         with pytest.raises(ValueError, match=f"^non-integer entry {shown}$"):
             freeze(m)
+    assert freeze([[3, 2**100], (-1, 0)]) == ((3, 2**100), (-1, 0))
     with pytest.raises(ValueError, match=r"^shape mismatch 1x2 \* 1x2$"):
         multiply([[1, 2]], [[3, 4]])
-
-    class Count(int):
-        pass
-
-    assert freeze([[Count(3), 2**100], (-1, 0)]) == ((3, 2**100), (-1, 0))
 
 
 def _eff_from_smith(r, rows, cols):

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from decnum import modrep
-from decnum.intmat import FinAbGroup, determinant, identity, transpose
+from decnum.intmat import FinAbGroup, determinant, identity, multiply, transpose
 from decnum.modrep import (
     CHARACTER_DIMS,
     EquivariantAbGroup,
@@ -157,6 +157,16 @@ def test_modular_rep_validation():
     for dim in (1.5, "1", True):
         with pytest.raises(ValueError, match=f"^dim must be an int, got {dim!r}$"):
             ModularRep(2, dim)
+
+
+def test_check_relations_refuses_wrong_labels():
+    # EquivariantAbGroup and ModularRep find the kind from the labels, so
+    # only a caller naming the kind, as FoldingDatum does, reaches this
+    for kind, gens in (("C2", {"t": PSI_S}), ("C2", {"s": PSI_S, "t": PSI_T}),
+                       ("S3", {"s": PSI_S}), ("trivial", {"s": PSI_S})):
+        with pytest.raises(ValueError, match="^generator labels do not match symmetry group$"):
+            modrep.check_relations(kind, gens, identity(2), multiply)
+    modrep.check_relations("S3", {"s": PSI_S, "t": PSI_T}, identity(2), multiply)
 
 
 def test_modular_rep_elements():

@@ -290,8 +290,8 @@ def _raised_or(call):
         return type(e).__name__, str(e)
 
 
-# exponents and ranks, well-formed and not: bool is an int to isinstance,
-# so True passes and False fails as 0; a str among ints fails the sort
+# exponents and ranks, well-formed and not: a bool is not an int, so True
+# and False are refused like 2.0; a str among ints fails the sort
 EXPONENTS = (1, 1, 2, 3, 5, 0, -1, 2.0, True, False, "x")
 RANKS = (0, 0, 1, 2, 3, -1, 1.5, True, None)
 

@@ -108,6 +108,9 @@ def test_cone_data_validation():
     with pytest.raises(ValueError, match="^bad equivariant entry at 2$"):
         ConeData("x", 2, {0: LinkEntry(1), 2: LinkEntry(0, (2,))},
                  equivariant_degrees={2: 5})
+    for label in (5, None, b"x"):
+        with pytest.raises(ValueError, match=f"^label must be a str, got {label!r}$"):
+            ConeData(label, 2, {0: LinkEntry(1)})
 
 
 def test_cone_entry_lookup():

@@ -9,6 +9,7 @@ import copy
 import inspect
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,8 +22,10 @@ from decnum import (
     DynkinDiagram,
     EquivariantAbGroup,
     ExtensionFlavor,
+    FGraded,
     FinAbGroup,
     FoldingDatum,
+    GradedOModule,
     LinkEntry,
     ModularRep,
     OModule,
@@ -35,6 +38,8 @@ from decnum import (
     smith_normal_form,
     subregular_cone,
 )
+from decnum.intmat import check_prime, freeze
+from decnum.perverse import ZERO_ENTRY
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -175,6 +180,46 @@ def test_validation_messages_keep_their_order():
         ModularRep(4, -1)
     with pytest.raises(ValueError, match="open part must have positive dimension"):
         ConeData("c", 0, {1: None})
+
+
+class Count(int):
+    """An int subclass: not an int to the package, like a bool."""
+
+
+# every integer field: a call that puts x there, and the message that
+# refuses an x whose type is not int
+INTEGER_FIELDS = {
+    "matrix entry": (lambda x: freeze([[x]]), "non-integer entry {!r}"),
+    "prime": (check_prime, "ell must be a prime, got {!r}"),
+    "invariant factor": (lambda x: FinAbGroup((x,)), "invalid invariant factor {!r}"),
+    "free rank": (lambda x: FinAbGroup((), x), "invalid free rank {!r}"),
+    "module rank": (OModule, "invalid rank {!r}"),
+    "torsion exponent": (lambda x: OModule(1, (x,)), "invalid torsion exponent {!r}"),
+    "graded degree": (lambda x: GradedOModule({x: OModule(1)}), "non-integer degree {!r}"),
+    "F degree": (lambda x: FGraded({x: 1}), "bad graded dimension entry {!r}: 1"),
+    "F dimension": (lambda x: FGraded({0: x}), "bad graded dimension entry 0: {!r}"),
+    "link rank": (LinkEntry, "invalid rank {!r}"),
+    "Dynkin rank": (lambda x: DynkinDiagram("A", x), "inadmissible type A{}"),
+    "representation dim": (lambda x: ModularRep(2, x), "dim must be an int, got {!r}"),
+    "open_dim": (lambda x: ConeData("x", x, {0: LinkEntry(1)}),
+                 "open_dim must be an int, got {!r}"),
+    "link degree": (lambda x: ConeData("x", 2, {x: LinkEntry(1)}), "bad link entry at {!r}"),
+    "window bound": (lambda x: ConeData("x", 2, {5: ZERO_ENTRY, 6: ZERO_ENTRY},
+                                        completeness=(x, 6)),
+                     "completeness must be 'full' or (lo, hi), got ({!r}, 6)"),
+    "equivariant degree": (
+        lambda x: ConeData("x", 2, {0: LinkEntry(1), 2: LinkEntry(0, (2,))},
+                           equivariant_degrees={x: EquivariantAbGroup(FinAbGroup((2,)))}),
+        "bad equivariant entry at {!r}"),
+}
+
+
+@pytest.mark.parametrize("field", INTEGER_FIELDS)
+def test_integer_fields_refuse_bools_int_subclasses_and_floats(field):
+    build, message = INTEGER_FIELDS[field]
+    for x in (True, False, Count(3), 1.0):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(x))}$"):
+            build(x)
 
 
 LAYERS = ("intmat", "omodule", "rootsys", "modrep", "perverse", "tables", "cli")
