@@ -3,8 +3,13 @@
 Everything is pure and deterministic.  Matrices are tuples of tuples of
 Python ints (arbitrary precision, so coefficient growth during reduction
 can never overflow or wrap).  Inputs are accepted as any nested sequence
-of ints and frozen on entry; no function mutates its arguments.  Here
-and throughout the package an integer is an object of type int: a
+of ints and checked by freeze; no function mutates its arguments.  A
+checked matrix is a Matrix, a tuple subclass that compares, hashes and
+prints as its plain tuple of tuples, and freeze passes a Matrix through
+unchanged, so a matrix decnum built is checked once.  transpose,
+multiply, rootsys.cartan_matrix and rootsys._permutation_matrix build
+their never-empty results as a Matrix directly: ints in give ints out.
+Here and throughout the package an integer is an object of type int: a
 matrix entry, rank, degree, exponent, divisor or prime that is a bool
 or another int subclass is refused like a float.
 
@@ -26,7 +31,45 @@ from itertools import compress
 from math import inf, prod
 from operator import attrgetter
 
-Matrix = tuple[tuple[int, ...], ...]
+# a tuple of tuples of ints that may be empty, so not a Matrix
+Rows = tuple[tuple[int, ...], ...]
+
+
+class Matrix(tuple):
+    """A checked matrix: a nonempty tuple of equal-length nonempty tuples
+    of ints.
+
+    Matrix(m) copies any nested sequence and checks it.  A Matrix
+    equals, hashes and prints as its plain tuple of tuples, and pickles
+    and copies through this check again.
+
+    >>> Matrix([[1, 2], [3, 4]])
+    ((1, 2), (3, 4))
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m: Sequence[Sequence[int]]) -> Matrix:
+        rows = tuple([tuple(row) for row in m])
+        if not rows or not rows[0]:
+            raise ValueError("matrix must have at least one row and one column")
+        width = len(rows[0])
+        for row in rows:
+            if len(row) != width:
+                raise ValueError("ragged matrix")
+            if set(map(type, row)) != {int}:
+                e = next(e for e in row if type(e) is not int)
+                raise ValueError(f"non-integer entry {e!r}")
+        return tuple.__new__(cls, rows)
+
+    def __reduce__(self):
+        return Matrix, (tuple(self),)
+
+
+def _built(rows: Rows) -> Matrix:
+    # unchecked: only for rows decnum built from ints, nonempty and
+    # rectangular by construction
+    return tuple.__new__(Matrix, rows)
 
 
 class LatticeError(ValueError):
@@ -34,30 +77,20 @@ class LatticeError(ValueError):
 
 
 def freeze(m: Sequence[Sequence[int]]) -> Matrix:
-    """Copy a nested sequence into a validated tuple-of-tuples matrix.
+    """m as a Matrix: checked once, or returned unchanged if it is one.
 
     >>> freeze([[1, 2], [3, 4]])
     ((1, 2), (3, 4))
     """
-    rows = tuple([tuple(row) for row in m])
-    if not rows or not rows[0]:
-        raise ValueError("matrix must have at least one row and one column")
-    width = len(rows[0])
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("ragged matrix")
-        if set(map(type, row)) != {int}:
-            e = next(e for e in row if type(e) is not int)
-            raise ValueError(f"non-integer entry {e!r}")
-    return rows
+    return m if type(m) is Matrix else Matrix(m)
 
 
-def identity(n: int) -> Matrix:
+def identity(n: int) -> Rows:
     return tuple([(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)])
 
 
 def transpose(m: Sequence[Sequence[int]]) -> Matrix:
-    return tuple([*zip(*freeze(m))])
+    return _built([*zip(*freeze(m))])
 
 
 def multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -65,7 +98,7 @@ def multiply(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     if len(a[0]) != len(b):
         raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} * {len(b)}x{len(b[0])}")
     bt = tuple(zip(*b))
-    return tuple([
+    return _built([
         tuple([sum([x * y for x, y in zip(row, col)]) for col in bt]) for row in a
     ])
 
@@ -122,10 +155,9 @@ def is_prime(n: int) -> bool:
     for p in _WITNESSES:
         if n % p == 0:
             return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    # n - 1 = d 2^s with d odd: (n - 1) & (1 - n) is its lowest set bit
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     for a in _WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -206,7 +238,7 @@ class SnfResult(FrozenRecord):
 
     __slots__ = ("u", "d", "v")
 
-    def __init__(self, u: Matrix, d: Matrix, v: Matrix) -> None:
+    def __init__(self, u: Rows, d: Rows, v: Rows) -> None:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "v", v)
@@ -425,7 +457,7 @@ def _effective_diagonal(a: list[dict[int, int]]) -> list[int]:
     return [row.get(i, 0) for i, row in enumerate(a)]
 
 
-def cokernel(m: Sequence[Sequence[int]]) -> tuple[FinAbGroup, Matrix]:
+def cokernel(m: Sequence[Sequence[int]]) -> tuple[FinAbGroup, Rows]:
     """Cokernel Z^rows / (column lattice of m), with projection.
 
     Returns (group, projection) where projection row i gives the image of
@@ -454,7 +486,7 @@ def cokernel(m: Sequence[Sequence[int]]) -> tuple[FinAbGroup, Matrix]:
 
 def induced_endomorphism(
     m: Sequence[Sequence[int]], g: Sequence[Sequence[int]]
-) -> Matrix:
+) -> Rows:
     """Matrix of the endomorphism g induces on the torsion of cokernel(m).
 
     g must be a square endomorphism of the ambient Z^rows carrying the

@@ -24,7 +24,7 @@ need.
 
 from __future__ import annotations
 
-from .intmat import FinAbGroup, Matrix, Record, check_prime, freeze, identity, multiply
+from .intmat import FinAbGroup, Record, Rows, check_prime, freeze, identity, multiply
 
 # The three symmetry groups: kind -> (generators, elements as words in
 # them with "e" the identity first, defining relations as (word, word,
@@ -86,20 +86,20 @@ def check_relations(kind: str, gens: dict, unit, compose) -> None:
             raise ValueError(message)
 
 
-def _mod_entrywise(m: Matrix, mods: tuple[int, ...]) -> Matrix:
+def _mod_entrywise(m: Rows, mods: tuple[int, ...]) -> Rows:
     return tuple([tuple([e % d for e in row]) for row, d in zip(m, mods)])
 
 
 class _GroupAction(Record):
     # _kind is not a field: _set_action works it out from the generator labels
     __slots__ = ("_kind",)
-    action: dict[str, Matrix]
+    action: dict[str, Rows]
 
     @property
     def kind(self) -> str:
         return self._kind
 
-    def _set_action(self, action: dict[str, Matrix], n: int, reduce) -> None:
+    def _set_action(self, action: dict[str, Rows], n: int, reduce) -> None:
         """Store each generator frozen, n x n and reduced; check the relations."""
         labels = tuple(sorted(action))
         if labels not in _KIND:
@@ -129,7 +129,7 @@ class EquivariantAbGroup(_GroupAction):
 
     __slots__ = ("group", "action")
 
-    def __init__(self, group: FinAbGroup, action: dict[str, Matrix] | None = None) -> None:
+    def __init__(self, group: FinAbGroup, action: dict[str, Rows] | None = None) -> None:
         self.group = group
         self.action = {} if action is None else action
         if self.group.free_rank:
@@ -148,7 +148,7 @@ class ModularRep(_GroupAction):
 
     __slots__ = ("ell", "dim", "action")
 
-    def __init__(self, ell: int, dim: int, action: dict[str, Matrix] | None = None) -> None:
+    def __init__(self, ell: int, dim: int, action: dict[str, Rows] | None = None) -> None:
         self.ell = ell
         self.dim = dim
         self.action = action = {} if action is None else action
@@ -159,17 +159,17 @@ class ModularRep(_GroupAction):
             raise ValueError("negative dimension")
         self._set_action(action, dim, self._reduce)
 
-    def _reduce(self, m: Matrix) -> Matrix:
+    def _reduce(self, m: Rows) -> Rows:
         ell = self.ell
         return tuple([tuple([e % ell for e in row]) for row in m])
 
-    def elements(self) -> dict[str, Matrix]:
+    def elements(self) -> dict[str, Rows]:
         """All group element matrices, keyed by word in the generators."""
         return group_elements(self.kind, self.action, identity(self.dim),
                               lambda a, b: self._reduce(multiply(a, b)))
 
 
-def modp_rank(m: Matrix, p: int) -> int:
+def modp_rank(m: Rows, p: int) -> int:
     """Rank of a matrix over the field with p elements (p prime)."""
     if not m or not m[0]:
         return 0
@@ -195,7 +195,7 @@ def modp_rank(m: Matrix, p: int) -> int:
     return rank
 
 
-def _eigenspace_dim(m: Matrix, scalar: int, p: int, dim: int) -> int:
+def _eigenspace_dim(m: Rows, scalar: int, p: int, dim: int) -> int:
     if dim == 0:
         return 0
     shifted = [

@@ -31,7 +31,7 @@ from math import gcd, lcm
 from operator import mul, neg
 
 from . import intmat
-from .intmat import FinAbGroup, FrozenRecord, Matrix
+from .intmat import FinAbGroup, FrozenRecord, Matrix, Rows, _built
 from .modrep import EquivariantAbGroup, check_relations, group_elements
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 4}
@@ -108,11 +108,11 @@ def cartan_matrix(d: DynkinDiagram) -> Matrix:
         c[i][i] = 2
     for (i, j), x in _off_diagonal(d).items():
         c[i][j] = x
-    # every entry is an int by construction, so intmat.freeze's check is
-    # skipped; each row list is released as soon as its tuple exists
+    # a Matrix built from ints, so freeze passes it through; each row
+    # list is released as soon as its tuple exists
     for i, row in enumerate(c):
         c[i] = tuple(row)
-    return tuple(c)
+    return _built(c)
 
 
 def _off_diagonal(d: DynkinDiagram) -> dict[tuple[int, int], int]:
@@ -375,7 +375,7 @@ def root_system(d: DynkinDiagram) -> RootSystemData:
     return generate_roots(cartan_matrix(d))
 
 
-def fundamental_group(d: DynkinDiagram, dual: bool = False) -> tuple[FinAbGroup, Matrix]:
+def fundamental_group(d: DynkinDiagram, dual: bool = False) -> tuple[FinAbGroup, Rows]:
     """Weight lattice mod root lattice (coweights mod coroots when dual).
 
     Returned as (group, projection) straight from intmat.cokernel.
@@ -569,7 +569,7 @@ def _permutation_matrix(perm: tuple[int, ...]) -> Matrix:
     rows = [[0] * n for _ in range(n)]
     for j, i in enumerate(perm):
         rows[i][j] = 1
-    return tuple(map(tuple, rows))
+    return _built(tuple(map(tuple, rows)))
 
 
 def symmetry_action_on_fundamental_group(f: FoldingDatum) -> EquivariantAbGroup:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import pickle
 import random
 import re
 
@@ -13,6 +16,7 @@ from decnum.intmat import (
     PRIME_BOUND,
     FinAbGroup,
     LatticeError,
+    Matrix,
     check_prime,
     cokernel,
     determinant,
@@ -90,35 +94,78 @@ def test_snf_divisors_match_sympy():
 
 
 def test_freeze_rejects_garbage():
-    empty = "matrix must have at least one row and one column"
-    for m in ([], [[]], ()):
-        with pytest.raises(ValueError, match=f"^{empty}$"):
-            freeze(m)
-    with pytest.raises(ValueError, match="^ragged matrix$"):
-        freeze([[1, 2], [3]])
-    with pytest.raises(ValueError, match="^ragged matrix$"):
-        freeze([[1, 2], [3, 4.5, 6]])
-
     class Count(int):
         pass
 
-    # the first entry that is not an int is named; a bool or another int
-    # subclass is not an int here
-    for m, shown in (
-        ([[1.5]], "1.5"),
-        ([[True]], "True"),
-        ([[1, True]], "True"),
-        ([[1, 2], [False, 1.5]], "False"),
-        ([[1.0, 2]], "1.0"),
-        ([[1, 2], [3, "x"]], "'x'"),
-        ([[1, None]], "None"),
-        ([[Count(3), 2**100], (-1, 0)], "3"),
-    ):
-        with pytest.raises(ValueError, match=f"^non-integer entry {shown}$"):
-            freeze(m)
-    assert freeze([[3, 2**100], (-1, 0)]) == ((3, 2**100), (-1, 0))
+    empty = "matrix must have at least one row and one column"
+    # freeze and the Matrix constructor run the same check
+    for check in (freeze, Matrix):
+        for m in ([], [[]], ()):
+            with pytest.raises(ValueError, match=f"^{empty}$"):
+                check(m)
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            check([[1, 2], [3]])
+        with pytest.raises(ValueError, match="^ragged matrix$"):
+            check([[1, 2], [3, 4.5, 6]])
+        # the first entry that is not an int is named; a bool or another
+        # int subclass is not an int here
+        for m, shown in (
+            ([[1.5]], "1.5"),
+            ([[True]], "True"),
+            ([[1, True]], "True"),
+            ([[1, 2], [False, 1.5]], "False"),
+            ([[1.0, 2]], "1.0"),
+            ([[1, 2], [3, "x"]], "'x'"),
+            ([[1, None]], "None"),
+            ([[Count(3), 2**100], (-1, 0)], "3"),
+        ):
+            with pytest.raises(ValueError, match=f"^non-integer entry {shown}$"):
+                check(m)
+        assert check([[3, 2**100], (-1, 0)]) == ((3, 2**100), (-1, 0))
     with pytest.raises(ValueError, match=r"^shape mismatch 1x2 \* 1x2$"):
         multiply([[1, 2]], [[3, 4]])
+
+
+def test_freeze_checks_once():
+    # a Matrix passes through; anything else comes back a checked Matrix
+    m = Matrix([[1, 2], [3, 4]])
+    assert freeze(m) is m
+    for plain in (((1, 2), (3, 4)), [[1, 2], [3, 4]]):
+        frozen = freeze(plain)
+        assert type(frozen) is Matrix and frozen == m
+    d = rootsys.DynkinDiagram("B", 3)
+    c = rootsys.cartan_matrix(d)
+    built = [
+        c,
+        transpose(c),
+        multiply(c, c),
+        rootsys._permutation_matrix((2, 0, 1)),
+        rootsys.simple_reflection(c, 1),
+    ]
+    for got in built:
+        assert type(got) is Matrix
+        assert got == freeze([list(row) for row in got])
+    assert rootsys._permutation_matrix((2, 0, 1)) == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
+
+
+def test_matrix_is_its_tuple_of_tuples():
+    plain = ((3, -2**70), (0, 1))
+    m = Matrix(plain)
+    assert m == plain and plain == m and hash(m) == hash(plain)
+    assert repr(m) == repr(plain) and str(m) == str(plain)
+    assert json.dumps(m) == json.dumps(plain)
+    assert all(type(row) is tuple for row in m)
+    for back in [pickle.loads(pickle.dumps(m, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert type(back) is Matrix and back == m
+    for back in (copy.deepcopy(m), copy.copy(m)):
+        assert type(back) is Matrix and back == m
+    # unpickling checks again, in every protocol: a Matrix forged past the
+    # check is refused
+    forged = tuple.__new__(Matrix, ((1, True),))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match="^non-integer entry True$"):
+            pickle.loads(pickle.dumps(forged, protocol))
 
 
 def _eff_from_smith(r, rows, cols):
