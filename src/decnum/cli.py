@@ -34,12 +34,8 @@ from .perverse import (
 from .rootsys import DynkinDiagram, fundamental_group
 
 # largest rank each typed command accepts, checked before any matrix is
-# built.  Cold times at the ceiling, worst series, bytecode off, Python
-# 3.11 on one Xeon vCPU: lattice B2000 --dual 0.6-0.8 s (78 MB peak RSS),
-# simple A2400 0.6-0.8 s, subregular B800 (unfolds to A1599) 0.7-0.9 s,
-# stalks B800 0.7-0.9 s, minimal A/B/D1200 0.3-0.5 s (38 MB; theta comes
-# from a walk of about 2n reflections and the Cartan matrix is checked on
-# its nonzero entries, so building dense matrices is most of it)
+# built.  README's ceiling table gives the cold time and peak RSS of the
+# slowest series at each ceiling
 MINIMAL_MAX_RANK = 1200
 RANK_CEILINGS = {
     "lattice": 2000,

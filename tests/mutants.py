@@ -14,12 +14,19 @@ A mutant of src/decnum/<module>.py runs the test files MODULE_TESTS
 names for that module, the whole-program tests in COMMON_TESTS and the
 module's doctests, with -x under a per-mutant timeout and address-space
 cap.  A mutant survives when that run passes: no test notices the
-change.  A run that times out or crashes counts as killed.  The
-survivors are written as JSON, one object per site.
+change.  A run that times out or crashes counts as killed.  The report
+is JSON: {"killed": [...], "survived": [...]}, one object per site,
+each killed one with its outcome ("failed" or "timeout").
 
-Run from anywhere (about 19 minutes on a 2-vCPU AMD EPYC VM):
+Run from anywhere (a full run takes about 20 minutes on a 2-vCPU VM):
 
-    python tests/mutants.py [--out survivors.json]
+    python tests/mutants.py [--out report.json]
+
+--help lists the options that narrow a run.  A kill-set comparison for
+one test is two commands: a run of its module (--module), then a rerun
+of that report's killed sites (--sites) with the test deselected
+(--deselect).  Only a killed site can change when a test is left out,
+and the comparison holds when every one of them is killed again.
 
 Pytest does not collect this file, and it is not part of tier-1.
 """
@@ -30,6 +37,7 @@ import argparse
 import ast
 import json
 import os
+import random
 import resource
 import shutil
 import signal
@@ -119,12 +127,14 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
-def run_tests(copy: Path, module: str) -> str:
-    """'passed', 'failed' or 'timeout' for module's tests run in copy."""
+def run_tests(copy: Path, module: str, deselect: list[str] = ()) -> str:
+    """'passed', 'failed' or 'timeout' for module's tests run in copy,
+    each node id in deselect left out."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     tests = [f"tests/{name}" for name in MODULE_TESTS.get(module, ()) + COMMON_TESTS]
     command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-               *tests, "--doctest-modules", str(PACKAGE / f"{module}.py")]
+               *tests, "--doctest-modules", str(PACKAGE / f"{module}.py"),
+               *(f"--deselect={node}" for node in deselect)]
     # a session of its own, so a timeout also ends the CLI processes a test started
     child = subprocess.Popen(command, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                              stderr=subprocess.DEVNULL, start_new_session=True,
@@ -138,46 +148,91 @@ def run_tests(copy: Path, module: str) -> str:
     return "passed" if returncode == 0 else "failed"
 
 
+def _key(site: dict) -> tuple:
+    # a site's identity without its line, which edits elsewhere in its file move
+    return site["file"], site["operator"], site["code"], site["replacement"]
+
+
+def _select(todo: list[dict], args) -> list[dict]:
+    if args.module:
+        unknown = set(args.module) - {site["module"] for site in todo}
+        if unknown:
+            raise SystemExit(f"no module {', '.join(sorted(unknown))} in {PACKAGE}")
+        todo = [site for site in todo if site["module"] in args.module]
+    if args.sites is not None:
+        wanted = {(*_key(site), site["line"])
+                  for site in json.loads(args.sites.read_text())["killed"]}
+        todo = [site for site in todo if (*_key(site), site["line"]) in wanted]
+        if len(todo) != len(wanted):
+            raise SystemExit(f"{args.sites}: {len(wanted) - len(todo)} sites are not in the source")
+    if args.sample is not None:
+        todo = sorted(random.Random(args.seed).sample(todo, min(args.sample, len(todo))),
+                      key=lambda site: (site["file"], site["span"], site["replacement"]))
+    return todo
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--out", type=Path, help="write the survivors here (default: stdout)")
+    parser.add_argument("--out", type=Path, help="write the report here (default: stdout)")
+    parser.add_argument("--module", action="append", metavar="NAME",
+                        help="only the sites of src/decnum/NAME.py (repeatable)")
+    parser.add_argument("--deselect", action="append", default=[], metavar="NODEID",
+                        help="passed through to pytest (repeatable)")
+    parser.add_argument("--sites", type=Path, metavar="FILE",
+                        help="only the killed sites of an earlier report")
+    parser.add_argument("--sample", type=int, metavar="N", help="N sites drawn with --seed")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--known", type=Path, metavar="FILE",
+                        help="exit 1 if a survivor is not in this JSON list")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="decnum-mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info"))
-        todo = sites(copy)
+        todo = _select(sites(copy), args)
         for module in sorted({site["module"] for site in todo}):
-            if run_tests(copy, module) != "passed":
+            if run_tests(copy, module, args.deselect) != "passed":
                 print(f"the tests of {module} fail without any mutant; nothing to measure",
                       file=sys.stderr)
                 return 1
-        survivors = []
+        report = {"killed": [], "survived": []}
         start = time.monotonic()
         for k, site in enumerate(todo, 1):
             path = copy / site["file"]
             original = path.read_text()
             path.write_text(mutate(original, site["span"], site["replacement"]))
             try:
-                outcome = run_tests(copy, site["module"])
+                outcome = run_tests(copy, site["module"], args.deselect)
             finally:
                 path.write_text(original)
             print(f"[{k}/{len(todo)} {time.monotonic() - start:.0f}s] {outcome:7} "
                   f"{site['file']}:{site['line']} {site['code']} -> {site['replacement']}",
                   file=sys.stderr)
+            entry = {key: site[key] for key in ("file", "line", "operator", "code", "replacement")}
             if outcome == "passed":
-                survivors.append({key: site[key]
-                                  for key in ("file", "line", "operator", "code", "replacement")})
+                report["survived"].append(entry)
+            else:
+                report["killed"].append(dict(entry, outcome=outcome))
 
     for operator, count in sorted(Counter(site["operator"] for site in todo).items()):
-        left = sum(site["operator"] == operator for site in survivors)
+        left = sum(site["operator"] == operator for site in report["survived"])
         print(f"{operator}: {left} of {count} mutants survived", file=sys.stderr)
-    report = json.dumps(survivors, indent=2, ensure_ascii=False) + "\n"
+    timeouts = sum(site["outcome"] == "timeout" for site in report["killed"])
+    print(f"killed {len(report['killed'])} of {len(todo)} ({timeouts} by timeout)",
+          file=sys.stderr)
+    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
     if args.out is None:
-        sys.stdout.write(report)
+        sys.stdout.write(text)
     else:
-        args.out.write_text(report)
+        args.out.write_text(text)
+    if args.known is not None:
+        known = {_key(site) for site in json.loads(args.known.read_text())}
+        new = [site for site in report["survived"] if _key(site) not in known]
+        for site in new:
+            print(f"unexpected survivor: {site['file']}:{site['line']} {site['code']} -> "
+                  f"{site['replacement']}", file=sys.stderr)
+        return 1 if new else 0
     return 0
 
 

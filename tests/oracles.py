@@ -1,31 +1,37 @@
 """Independent oracles used by the test suite.
 
-Everything here recomputes expectations from first principles, by
-routes deliberately different from the package's own algorithms:
-Fraction-based linear algebra for lattice membership and coset
-enumeration (no Smith reduction), closed-form root system numerology,
-a dense reflection closure for root systems (no carried pairings), a
-dense Smith reduction that carries its transforms (no operation log),
-the logged sparse reduction with one helper call per elementary step
-(no inlined loop), a submodule-lattice walk for composition factors
-(no character theory), central idempotents for S3 factors (no eigenspaces), the McKay
-abelianisation for the middle link torsion (no Cartan matrix), the
-McKay types of the folding quotient groups (no diagram), the
-dense generalized-Cartan check (no sparse rows), and the module
-constructors and stalk refusals with one helper call per check (no
-inlined checks).  Values frozen in the tests were produced by these
-functions.
+Everything here recomputes or checks expectations from first
+principles, by routes deliberately different from the package's own
+algorithms:
+
+* Fraction-based linear algebra for lattice membership and coset
+  enumeration (no Smith reduction);
+* a certificate for each cokernel and induced endomorphism: the
+  projection kills the columns and is onto, and the orders agree with a
+  determinant or the determinantal divisor (no Smith reduction; it
+  checks the answer, whatever reduction produced it);
+* a dense Smith reduction that carries its transforms (no operation
+  log), which pins u, d, v and every projection;
+* closed-form root system numerology, and a dense reflection closure
+  (no carried pairings);
+* a submodule-lattice walk for composition factors (no character
+  theory), and central idempotents for S3 factors (no eigenspaces);
+* the McKay abelianisation for the middle link torsion (no Cartan
+  matrix), and the McKay types of the folding quotient groups (no
+  diagram);
+* a dict-based stalk calculus (no graded module objects).
+
+Values frozen in the tests were produced by these functions.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import compress, product
-from math import inf, lcm
+from math import lcm, prod
 
-from decnum import intmat, omodule, perverse
+from decnum import intmat
 from decnum.rootsys import EXCEPTIONAL, SERIES_MIN_RANK, DynkinDiagram
 
 
@@ -236,112 +242,218 @@ def dense_induced(st, g):
     return tuple(tuple(h[i][j] % eff[i] for j in tor) for i in tor)
 
 
+# ------------------------------------------------------ Smith certificates
+#
+# A certificate checks an answer, not the algorithm that produced it
+# (McConnell, Mehlhorn, Naeher and Schweitzer, Certifying algorithms,
+# Comput. Sci. Rev. 5, 2011).  A projection P from Z^rows to
+# G = Z/d_1 x ... x Z/d_t x Z^f that kills the columns of M induces a
+# map coker M -> G, onto when P is.  If moreover f = rows - rank M and
+# d_1 ... d_t is the order of the torsion of coker M, the map is an
+# isomorphism: its kernel has rank 0, so it lies in that torsion, and
+# the orders leave it only 0.  None of this runs a Smith reduction.
 
-def reference_sparse_reduction(m):
-    """intmat's logged sparse Smith reduction as it stood before its
-    elimination loop was inlined: (rows, row log, column log).
+DETERMINANT_MAX = 12  # Bareiss on any square matrix up to this size
 
-    Each elementary step goes through a small helper, and every entry
-    scanned for the pivot becomes an (abs, column) tuple, so the pivot
-    rule reads off directly: row-major order, least magnitude, least
-    column within a row, stopping at the first row holding a unit.
-    Each row of a is a dict {column: nonzero entry}, and cols[j] is the
-    set of rows with a nonzero entry in column j.
-    """
+
+def _nonzero_rows(m):
     columns = range(len(m[0]))
-    a = [dict(zip(compress(columns, row), compress(row, row))) for row in m]
-    cols = [set() for _ in m[0]]
-    for i, row in enumerate(a):
-        for j in row:
-            cols[j].add(i)
-    rowlog, collog = [], []
+    return [list(zip(compress(columns, row), compress(row, row))) for row in m]
 
-    def row_swap(i, j):
-        if i != j:
-            for k in a[i].keys() ^ a[j].keys():
-                cols[k] ^= {i, j}
-            a[i], a[j] = a[j], a[i]
-            rowlog.append((i, j, 0))
 
-    def col_swap(i, j):
-        if i != j:
-            for r in cols[i] | cols[j]:
-                row = a[r]
-                x, y = row.pop(i, 0), row.pop(j, 0)
-                if x:
-                    row[j] = x
-                if y:
-                    row[i] = y
-            cols[i], cols[j] = cols[j], cols[i]
-            collog.append((i, j, 0))
+def _tree_determinant(m, rows):
+    """det m by eliminating leaves, O(n) once the nonzero entries are
+    known, for an m whose off-diagonal nonzero pattern is a forest; None
+    for another pattern or a zero pivot.
 
-    def add(row, r, k, x):
-        # row r gains x in column k
-        x += row.get(k, 0)
-        if x:
-            if k not in row:
-                cols[k].add(r)
-            row[k] = x
-        else:
-            del row[k]
-            cols[k].discard(r)
+    Each pivot is an exact rational num[v] / den[v].  Eliminating a leaf
+    v of pivot a/b changes only its neighbour u's pivot, by the Schur
+    complement -m[u][v] m[v][u] b / a; then den[u] is the product of
+    the eliminated neighbours' num, so the product of all pivots is the
+    product of num over the last vertex of each component.
+    """
+    n = len(m)
+    num, den = [m[i][i] for i in range(n)], [1] * n
+    adj = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            if j != i:
+                adj[i].add(j)
+                adj[j].add(i)
+    det, left = 1, n
+    leaves = [i for i in range(n) if len(adj[i]) <= 1]
+    while leaves:
+        v = leaves.pop()
+        left -= 1
+        if not adj[v]:
+            det *= num[v]
+            continue
+        if not num[v]:
+            return None
+        (u,) = adj[v]
+        num[u] = num[u] * num[v] - m[u][v] * m[v][u] * den[v] * den[u]
+        den[u] *= num[v]
+        adj[u].remove(v)
+        if len(adj[u]) == 1:
+            leaves.append(u)
+    return det if left == 0 else None
 
-    def pivot_to(s):
-        # the nonzero entry of least magnitude, row-major, in rows s on
-        # (their entries left of column s are already cleared)
-        best = None
-        for i in range(s, len(a)):
-            if a[i]:
-                e, j = min((abs(x), j) for j, x in a[i].items())
-                if best is None or e < best[0]:
-                    best = (e, i, j)
-                    if e == 1:
-                        break
-        if best is not None:
-            row_swap(s, best[1])
-            col_swap(s, best[2])
-        return best
 
-    for s in range(min(len(a), len(cols))):
-        if pivot_to(s) is None:
-            break
-        while True:
-            p = a[s][s]
-            if p < 0:
-                a[s] = {k: -x for k, x in a[s].items()}
-                rowlog.append((s, s, -1))
-                p = -p
-            # clear column s below and row s to the right; floor quotients
-            # leave remainders in [0, pivot), so magnitudes shrink each pass
-            dirty = False
-            for i in sorted(cols[s] - {s}):
-                q = -(a[i][s] // p)
-                if q:
-                    for k, y in a[s].items():
-                        add(a[i], i, k, q * y)
-                    rowlog.append((i, s, q))
-                dirty = dirty or s in a[i]
-            for j in sorted(a[s].keys() - {s}):
-                q = -(a[s][j] // p)
-                if q:
-                    for r in list(cols[s]):
-                        add(a[r], r, j, q * a[r][s])
-                    collog.append((s, j, q))
-                dirty = dirty or j in a[s]
-            if dirty:
-                pivot_to(s)
-                continue
-            # cross is clear; enforce pivot | rest of block (a unit divides all)
-            if p == 1:
-                break
-            witness = next((i for i in range(s + 1, len(a))
-                            if any(x % p for x in a[i].values())), None)
-            if witness is None:
-                break
-            for k, y in a[witness].items():
-                add(a[s], s, k, y)
-            rowlog.append((s, witness, 1))
-    return a, rowlog, collog
+def _echelon(rows, width):
+    """(pivots, rest) of the rows: Euclid's steps between them clear each
+    column c < width in all rows but one, which is set aside as column c's
+    pivot, and the rest are the rows left zero there.  The steps are
+    unimodular, so the pivots and the rest span what the rows span."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(width):
+        live = [r for r in rows if r[c]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not p:
+                    q = r[c] // p[c]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+            live = [r for r in live if r[c]]
+        if live:
+            pivots.append(live[0])
+            rows = [r for r in rows if r is not live[0]]
+    return pivots, rows
+
+
+def _determinantal(m):
+    """(rank m, D_r), D_r the gcd of the r x r minors of m for r = rank m,
+    which is the torsion order of coker m.  Unimodular row and then
+    column operations keep every determinantal divisor, and bring m to
+    an r x r triangular block, so D_r is the product of its diagonal."""
+    rows, _ = _echelon(m, len(m[0]))
+    cols, _ = _echelon(zip(*rows), len(rows)) if rows else ([], [])
+    return len(rows), prod(abs(p[c]) for c, p in enumerate(cols))
+
+
+def _onto(divisors, free_rank, proj) -> bool:
+    """Whether the rows of proj and d_j e_j for the torsion coordinates
+    span Z^k: the Hermite form of the k columns, a gcd for a cyclic
+    group, has a unit pivot in each."""
+    k = len(divisors) + free_rank
+    relations = [[d if c == j else 0 for c in range(k)] for j, d in enumerate(divisors)]
+    pivots, _ = _echelon(relations + list(proj), k)
+    return len(pivots) == k and all(abs(p[c]) == 1 for c, p in enumerate(pivots))
+
+
+def _images(rows, width, proj, divisors):
+    """Column j of the matrix with these nonzero rows, mapped by proj,
+    for each j < width: torsion coordinates reduced, free ones exact."""
+    k = len(proj[0]) if proj else 0
+    out = [[0] * k for _ in range(width)]
+    for row, p in zip(rows, proj):
+        for j, x in row:
+            image = out[j]
+            for c in range(k):
+                image[c] += x * p[c]
+    for image in out:
+        for c, d in enumerate(divisors):
+            image[c] %= d
+    return out
+
+
+def cokernel_fault(m, divisors, free_rank, proj):
+    """The first condition of the cokernel certificate that the answer
+    (divisors, free_rank, proj) for m fails, or None when it is
+    certified: the shape, P killing the columns, P onto, and the orders.
+
+    The torsion order of coker m is |det m| for square nonsingular m,
+    by Bareiss up to DETERMINANT_MAX and by leaf elimination for a forest
+    pattern at any size.  Otherwise the free rank is rows - rank m and
+    the torsion order is the gcd of the (rank m)-minors, read off a
+    triangular form.
+    """
+    rows, t = len(m), len(divisors)
+    k = t + free_rank
+    if any(type(d) is not int or d < 2 for d in divisors) or any(
+            b % a for a, b in zip(divisors, divisors[1:])):
+        return f"divisors {divisors} are not an invariant factor chain"
+    if len(proj) != rows or any(len(row) != k for row in proj) or any(
+            not 0 <= row[c] < d for row in proj for c, d in enumerate(divisors)):
+        return "projection of the wrong shape or unreduced"
+    nonzero = _nonzero_rows(m)
+    for j, image in enumerate(_images(nonzero, len(m[0]), proj, divisors)):
+        if any(image):
+            return f"column {j} maps to {image}, not 0"
+    if not _onto(divisors, free_rank, proj):
+        return "projection is not onto"
+    det = 0
+    if rows == len(m[0]):
+        det = (intmat.determinant(m) if rows <= DETERMINANT_MAX
+               else _tree_determinant(m, nonzero) or 0)
+    r, torsion = (rows, abs(det)) if det else _determinantal(m)
+    if free_rank != rows - r:
+        return f"free rank {free_rank}; rows - rank is {rows - r}"
+    if prod(divisors) != torsion:
+        return f"torsion order {prod(divisors)}; the {r}x{r} minors have gcd {torsion}"
+    return None
+
+
+def _relations(vectors):
+    """A basis of the integer x with sum x_i v_i = 0: the rest of the
+    echelon of the rows [v_i | e_i], read on their e part."""
+    width = len(vectors[0])
+    _, rest = _echelon([list(v) + [int(i == j) for j in range(len(vectors))]
+                        for i, v in enumerate(vectors)], width)
+    return [r[width:] for r in rest]
+
+
+def induced_fault(m, g, divisors, free_rank, proj, h):
+    """The first condition of the induced certificate that fails, or
+    None: h is induced_endomorphism(m, g), or None for a LatticeError,
+    and proj a projection for m that cokernel_fault certified.
+
+    Then x lies in the column lattice of m exactly when proj maps it to
+    0, so g preserves the lattice iff each column of g m maps to 0.  h
+    is g on the torsion T of the cokernel: h P(x) = P(g x) on the torsion
+    coordinates for every x of a basis of the x with P(x) in T, the
+    basis vectors e_i when the cokernel is finite.
+    """
+    t = len(divisors)
+    pg = _images(_nonzero_rows(g), len(g), proj, ())  # P(g e_i), unreduced
+    moved = next((j for j, image in enumerate(
+        _images(_nonzero_rows(m), len(m[0]), pg, divisors)) if any(image)), None)
+    if h is None:
+        return None if moved is not None else "LatticeError, yet g preserves the lattice"
+    if moved is not None:
+        return f"g moves column {moved} out of the lattice, yet no LatticeError"
+    if len(h) != t or any(len(row) != t for row in h) or any(
+            not 0 <= x < d for row, d in zip(h, divisors) for x in row):
+        return "induced matrix of the wrong shape or unreduced"
+    pairs = zip(proj, pg)
+    if free_rank:
+        basis = _relations([row[t:] for row in proj])
+        pairs = [([sum(c * p[k] for c, p in zip(x, proj)) for k in range(t)],
+                  [sum(c * p[k] for c, p in zip(x, pg)) for k in range(t)]) for x in basis]
+    for p, image in pairs:
+        for a, d in enumerate(divisors):
+            if (sum(x * y for x, y in zip(h[a], p)) - image[a]) % d:
+                return f"h P(x) and P(g x) differ in coordinate {a} at x = {p}"
+    return None
+
+
+def certify(m, endomorphisms=()):
+    """(group, projection, induced, faults): intmat.cokernel(m), and for
+    each g intmat.induced_endomorphism(m, g) or the LatticeError it
+    raised, with the faults their certificates find (none when every
+    answer is certified)."""
+    group, proj = intmat.cokernel(m)
+    faults = [cokernel_fault(m, group.divisors, group.free_rank, proj)]
+    induced = []
+    for g in endomorphisms:
+        try:
+            h = intmat.induced_endomorphism(m, g)
+        except intmat.LatticeError as e:
+            h = e
+        induced.append(h)
+        faults.append(induced_fault(m, g, group.divisors, group.free_rank, proj,
+                                    None if isinstance(h, intmat.LatticeError) else h))
+    return group, proj, induced, [fault for fault in faults if fault is not None]
 
 
 # -------------------------------------------------------------- root counts
@@ -384,25 +496,6 @@ HIGHEST_ROOT = {
     "C": lambda n: (2,) * (n - 1) + (1,),
     "D": lambda n: (1,) + (2,) * (n - 3) + (1, 1),
 }
-
-
-def reference_validate_cartan(c) -> None:
-    """The dense generalized-Cartan check: the first failing (i, j) in
-    row-major order names the ValueError, the diagonal of a row before
-    its entries and, at one entry, a positive value before an
-    asymmetric zero pattern.  O(n^2) for any sparsity."""
-    n = len(c)
-    if len(c[0]) != n:
-        raise ValueError("Cartan matrix must be square")
-    for i in range(n):
-        if c[i][i] != 2:
-            raise ValueError("Cartan diagonal must be 2")
-        for j in range(n):
-            if i != j:
-                if c[i][j] > 0:
-                    raise ValueError("positive off-diagonal Cartan entry")
-                if (c[i][j] == 0) != (c[j][i] == 0):
-                    raise ValueError("asymmetric Cartan zero pattern")
 
 
 def reference_root_system(cartan):
@@ -806,182 +899,3 @@ def reference_decomposition(band, ell, support):
     if reference_f_stalk(band, "!*", ell, support) == OUT_OF_WINDOW:
         return OUT_OF_WINDOW
     return sum(1 for t in middle[1] if t % ell == 0)
-
-
-# ---------------------------------------------------------- graded modules
-#
-# The graded constructors and functors as they were when every
-# constructor collected its entries and then sorted them, and
-# reduce_graded probed module_at on every degree of the span.  Values
-# come back as ascending (degree, value) tuples; the window is read
-# through omodule.degree_window, so a counting patch sees both routes.
-
-def _reference_check_degree(deg, window):
-    lo, hi = window
-    if not lo <= deg <= hi:
-        raise omodule.DegreeWindowError(
-            f"degree {deg} outside support window [{lo}, {hi}]"
-        )
-
-
-def reference_graded_items(modules):
-    """GradedOModule(modules).items(), by collect-then-sort."""
-    items = modules.items() if isinstance(modules, Mapping) else modules
-    store = {}
-    window = None
-    for deg, mod in items:
-        if type(deg) is not int:
-            raise ValueError(f"non-integer degree {deg!r}")
-        if not isinstance(mod, omodule.OModule):
-            raise ValueError(f"degree {deg}: expected OModule, got {mod!r}")
-        if deg in store:
-            raise ValueError(f"degree {deg} listed twice")
-        if mod.is_zero():
-            continue
-        window = window or omodule.degree_window()
-        _reference_check_degree(deg, window)
-        store[deg] = mod
-    return tuple(sorted(store.items()))
-
-
-def reference_f_items(dims):
-    """FGraded(dims) as its ascending (degree, dimension) pairs."""
-    store = {}
-    window = None
-    for deg, dim in dims.items():
-        if type(deg) is not int or type(dim) is not int:
-            raise ValueError(f"bad graded dimension entry {deg!r}: {dim!r}")
-        if dim < 0:
-            raise ValueError(f"negative dimension at degree {deg}")
-        if dim:
-            window = window or omodule.degree_window()
-            _reference_check_degree(deg, window)
-            store[deg] = dim
-    return tuple(sorted(store.items()))
-
-
-def reference_reduce_graded(items):
-    """reduce_graded on graded items: every degree from one below the
-    lowest to the highest, each read in place and one above."""
-    if not items:
-        return reference_f_items({})
-    by_degree = dict(items)
-    dims = {}
-    for deg in range(min(by_degree) - 1, max(by_degree) + 1):
-        here = by_degree.get(deg, omodule.ZERO)
-        above = by_degree.get(deg + 1, omodule.ZERO)
-        dims[deg] = here.rank + len(here.torsion) + len(above.torsion)
-    return reference_f_items(dims)
-
-
-def reference_truncate_F(items, n, floor):
-    """truncate_F on (degree, dimension) items."""
-    return reference_f_items({d: v for d, v in dict(items).items() if floor <= d <= n})
-
-
-# ------------------------------------------------ per-check constructors
-#
-# OModule as it was when it sorted every torsion tuple and checked each
-# exponent in its own loop pass, returning (rank, torsion).  The graded
-# constructors' per-entry checks, in the same order and with the same
-# messages, are reference_graded_items and reference_f_items above.
-
-def per_check_omodule(rank, torsion=()):
-    if type(rank) is not int or rank < 0:
-        raise ValueError(f"invalid rank {rank!r}")
-    tors = tuple(sorted(torsion, reverse=True))
-    for e in tors:
-        if type(e) is not int or e < 1:
-            raise ValueError(f"invalid torsion exponent {e!r}")
-    return rank, tors
-
-
-# ------------------------------------------------------ per-check stalks
-#
-# perverse.extension_stalk, f_extension_stalk and decomposition_number
-# as they were when every check read the cone's bounds again through
-# its own helper (coverage, floor, entry_or_none per degree) and the
-# band looked each known degree up through known_degrees().  They build
-# their answers with the public graded functors and raise ConeError
-# with the same messages, so a test can compare the messages one by one.
-
-def _per_check_band(c, cap=inf, ell=None, skip_unknown=False):
-    d = c.open_dim
-    link = c.link_cohomology
-    out = {}
-    for deg in c.known_degrees():
-        if deg > cap:
-            break
-        entry = link.get(deg, perverse.ZERO_ENTRY)
-        rank, torsion = entry.rank, entry.torsion
-        if rank is None:
-            if skip_unknown:
-                continue
-            raise perverse.ConeError(f"insufficient link data: rank unknown at degree {deg}")
-        if torsion and ell is not None:
-            torsion = _valuations(torsion, ell)
-        if rank or torsion:
-            out[deg - d] = omodule.OModule(rank, torsion)
-    return out
-
-
-def _per_check_require(entry, what):
-    if entry is None:
-        raise perverse.ConeError(f"insufficient link data: {what}")
-    return entry
-
-
-def _per_check_covered(c, f):
-    if c.open_dim + f.shifted_threshold + 1 > c._bounds()[1]:
-        raise perverse.ConeError(
-            "insufficient link data: window does not cover the "
-            f"truncation threshold for {f.label()}"
-        )
-
-
-def per_check_extension_stalk(c, f):
-    _per_check_covered(c, f)
-    threshold = c.open_dim + f.shifted_threshold
-    stalk = _per_check_band(c, cap=threshold)
-    if f.plus:
-        edge = _per_check_require(
-            c.entry_or_none(threshold + 1), "no entry above the threshold"
-        )
-        if edge.torsion:
-            stalk[f.shifted_threshold + 1] = omodule.OModule(0, edge.torsion)
-    return omodule.GradedOModule(stalk)
-
-
-def per_check_f_extension_stalk(c, f, ell):
-    if f.perversity != "p":
-        raise perverse.ConeError("field-coefficient stalks are defined for perversity p only")
-    intmat.check_prime(ell)
-    _per_check_covered(c, f)
-    band = omodule.GradedOModule(_per_check_band(c, ell=ell, skip_unknown=True))
-    reduced = omodule.reduce_graded(band)
-    return omodule.truncate_F(reduced, f.shifted_threshold, c._bounds()[0] - c.open_dim)
-
-
-def per_check_decomposition_number(c, ell):
-    intmat.check_prime(ell)
-    d = c.open_dim
-    below = _per_check_require(c.entry_or_none(d - 1), f"degree {d - 1} outside window")
-    middle = _per_check_require(c.entry_or_none(d), f"degree {d} outside window")
-    above = _per_check_require(c.entry_or_none(d + 1), f"degree {d + 1} outside window")
-    if below.rank is None or not below.is_zero():
-        raise perverse.ConeError(f"hypotheses not met: H^{d - 1} of the link must vanish")
-    if above.torsion:
-        raise perverse.ConeError(
-            f"hypotheses not met: H^{d + 1} of the link must be torsion-free"
-        )
-    if middle.rank is None:
-        raise perverse.ConeError(f"insufficient link data: rank unknown at degree {d}")
-    flavor = perverse.FLAVOR_CHAIN[2]  # p,!*
-    o_side = omodule.reduce_graded(
-        perverse.localize_stalk(per_check_extension_stalk(c, flavor), ell)
-    )
-    f_side = per_check_f_extension_stalk(c, flavor, ell)
-    floor = c._bounds()[0] - d
-    return sum(
-        dim if deg % 2 == 0 else -dim for deg, dim in o_side.items() if deg >= floor
-    ) - f_side.euler_characteristic()

