@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+import oracles
 from decnum import omodule
 from decnum.omodule import (
     DEFAULT_WINDOW,
@@ -229,3 +231,178 @@ def test_reduce_graded_dimension_count():
         total = reduce_graded(g).total_dim()
         want = sum(m.rank + 2 * len(m.torsion) for _, m in g.items())
         assert total == want
+
+
+def _outcome(call):
+    """("ok", value) or (exception class name, message)."""
+    try:
+        return "ok", call()
+    except ValueError as e:
+        return type(e).__name__, str(e)
+
+
+def _random_modules(rng, lo, hi):
+    """Graded input near and past the window edges, in any order, with
+    zero modules, repeated degrees and now and then a malformed entry."""
+    edges = (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)
+    pairs = []
+    for _ in range(rng.randint(0, 7)):
+        deg = rng.choice(edges) if rng.random() < 0.4 else rng.randint(lo, hi)
+        exps = tuple(rng.choice((1, 2, 3)) for _ in range(rng.choice((0, 0, 1, 2))))
+        pairs.append((deg, OModule(rng.choice((0, 0, 1, 2)), exps)))
+    bad = rng.random()
+    if bad < 0.05:
+        pairs.insert(rng.randint(0, len(pairs)), (0.5, OModule(1)))
+    elif bad < 0.1:
+        pairs.insert(rng.randint(0, len(pairs)), (rng.randint(lo, hi), 3))
+    if rng.random() < 0.4:
+        pairs.sort(key=lambda p: p[0])
+    return pairs if rng.random() < 0.5 else dict(pairs)
+
+
+def _random_dims(rng, lo, hi):
+    edges = (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1)
+    dims = {}
+    for _ in range(rng.randint(0, 7)):
+        deg = rng.choice(edges) if rng.random() < 0.4 else rng.randint(lo, hi)
+        dims[deg] = rng.choice((0, 0, 1, 2, 3, 5))
+    bad = rng.random()
+    if bad < 0.05:
+        dims[rng.randint(lo, hi)] = -1
+    elif bad < 0.1:
+        dims[rng.randint(lo, hi)] = 2.0
+    if rng.random() < 0.4:
+        dims = dict(sorted(dims.items()))
+    return dims
+
+
+@pytest.mark.parametrize("override", [None, "40", "-3:5", "wide"])
+def test_graded_objects_match_the_sort_always_reference(monkeypatch, override):
+    if override is None:
+        monkeypatch.delenv("DECNUM_DEGREE_WINDOW", raising=False)
+    else:
+        monkeypatch.setenv("DECNUM_DEGREE_WINDOW", override)
+    lo, hi = DEFAULT_WINDOW if override in (None, "wide") else degree_window()
+    calls = []
+    real = omodule.degree_window
+    monkeypatch.setattr(omodule, "degree_window", lambda: calls.append(1) or real())
+
+    def run(call):
+        # the outcome, and how often it read the window
+        calls.clear()
+        return _outcome(call), len(calls)
+
+    def f_items(f):
+        return tuple(f.dims().items())
+
+    rng = random.Random(f"graded reference {override}")
+    for _ in range(300):
+        modules = _random_modules(rng, lo, hi)
+        got = run(lambda: GradedOModule(modules).items())
+        assert got == run(lambda: oracles.reference_graded_items(modules)), modules
+        if got[0][0] == "ok":
+            g = GradedOModule(modules)
+            assert run(lambda: f_items(reduce_graded(g))) == run(
+                lambda: oracles.reference_reduce_graded(g.items())), g
+
+        dims = _random_dims(rng, lo, hi)
+        got = run(lambda: tuple(FGraded(dims).dims().items()))
+        assert got == run(lambda: oracles.reference_f_items(dims)), dims
+        if got[0][0] == "ok":
+            f = FGraded(dims)
+            n = rng.randint(lo - 1, hi + 1)
+            floor = rng.choice((-math.inf, rng.randint(lo - 1, hi + 1)))
+            assert run(lambda: f_items(truncate_F(f, n, floor))) == run(
+                lambda: oracles.reference_truncate_F(f.dims().items(), n, floor)), (f, n, floor)
+
+
+def _raised_or(call):
+    """("ok", repr of the value) or (exception class name, message)."""
+    try:
+        return "ok", repr(call())
+    except Exception as e:  # the exception itself is what is compared
+        return type(e).__name__, str(e)
+
+
+# exponents and ranks, well-formed and not: a bool is not an int, so True
+# and False are refused like 2.0; a str among ints fails the sort
+EXPONENTS = (1, 1, 2, 3, 5, 0, -1, 2.0, True, False, "x")
+RANKS = (0, 0, 1, 2, 3, -1, 1.5, True, None)
+
+
+def _random_torsion(rng):
+    exps = [rng.choice(EXPONENTS[:5] if rng.random() < 0.6 else EXPONENTS)
+            for _ in range(rng.choice((0, 0, 1, 1, 2, 3)))]
+    return exps if rng.random() < 0.2 else tuple(exps)
+
+
+def _random_entries(rng, lo, hi, good, bad):
+    """(degree, value) pairs around the window edges, in any order, with
+    repeated degrees and zero values; each pair is malformed (a degree
+    that is no int, or a bad value) with probability 0.15, so some
+    inputs carry several faults.  Also returns the malformed count."""
+    degrees = (lo - 1, lo, lo + 1, (lo + hi) // 2, hi - 1, hi, hi + 1)
+    pairs, faults = [], 0
+    for _ in range(rng.randint(0, 8)):
+        deg, value = rng.choice(degrees), rng.choice(good)
+        if rng.random() < 0.15:
+            faults += 1
+            if rng.random() < 0.5:
+                deg = rng.choice((0.5, "1", None))
+            else:
+                value = rng.choice(bad)
+        pairs.append((deg, value))
+    if rng.random() < 0.4:
+        pairs.sort(key=lambda p: p[0] if isinstance(p[0], int) else 0)
+    return pairs, faults
+
+
+@pytest.mark.parametrize("override", [None, "-3:0"])
+def test_constructors_match_the_per_check_reference(monkeypatch, override):
+    """OModule, GradedOModule and FGraded give the value, or the exception
+    type and message, of the constructors that made one helper call per
+    check, and read the window as often, on inputs dense with faults."""
+    if override is None:
+        monkeypatch.delenv("DECNUM_DEGREE_WINDOW", raising=False)
+    else:
+        monkeypatch.setenv("DECNUM_DEGREE_WINDOW", override)
+    lo, hi = degree_window()
+    calls = []
+    real = omodule.degree_window
+    monkeypatch.setattr(omodule, "degree_window", lambda: calls.append(1) or real())
+
+    def run(call):
+        calls.clear()
+        return _raised_or(call), len(calls)
+
+    modules = (ZERO, OModule(1), OModule(0, (2,)), OModule(2, (3, 1)))
+    messages, unsorted_ok, multi_fault = [], 0, 0
+    rng = random.Random(f"per-check constructors {override}")
+    for _ in range(600):
+        rank, torsion = rng.choice(RANKS), _random_torsion(rng)
+        got = run(lambda: (lambda m: (m.rank, m.torsion))(OModule(rank, torsion)))
+        assert got == run(lambda: oracles.per_check_omodule(rank, torsion)), (rank, torsion)
+        messages.append(got[0][1])
+
+        pairs, faults = _random_entries(rng, lo, hi, modules, (3, None, (1, ())))
+        given = pairs if rng.random() < 0.5 else dict(pairs)
+        got = run(lambda: GradedOModule(given).items())
+        assert got == run(lambda: oracles.reference_graded_items(given)), given
+        messages.append(got[0][1])
+        degrees = [deg for deg, _ in pairs]
+        unsorted_ok += got[0][0] == "ok" and degrees != sorted(degrees)
+        multi_fault += faults >= 2
+
+        pairs, faults = _random_entries(rng, lo, hi, (0, 1, 2, 3), (-1, 2.0, None))
+        dims = dict(pairs)
+        got = run(lambda: tuple(FGraded(dims).items()))
+        assert got == run(lambda: oracles.reference_f_items(dims)), dims
+        messages.append(got[0][1])
+        multi_fault += faults >= 2
+    for fragment in ("invalid rank", "invalid torsion exponent 0", "invalid torsion exponent -1",
+                     "invalid torsion exponent 2.0", "invalid torsion exponent False",
+                     "not supported between", "non-integer degree", "expected OModule",
+                     "listed twice", "outside support window", "bad graded dimension entry",
+                     "negative dimension at degree"):
+        assert any(fragment in m for m in messages), fragment
+    assert unsorted_ok >= 10 and multi_fault >= 20, (unsorted_ok, multi_fault)
