@@ -52,6 +52,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "decnum"
 TIMEOUT = 40.0  # seconds one mutant's tests may run
 MEMORY = 2 << 30  # bytes of address space one mutant's tests may map
+SAMPLE_SIZE, SAMPLE_SEED = 30, 1  # the sites --sample draws
 
 COMMON_TESTS = ("test_golden_cli.py", "test_acceptance.py", "test_cli.py")
 MODULE_TESTS = {
@@ -74,7 +75,8 @@ def sites(root: Path) -> list[dict]:
     """Every mutation site under root/src/decnum, in file and span order.
 
     A site carries the mutated node's span (1-based lines, 0-based UTF-8
-    byte columns, as ast reports them) and the source text that replaces it.
+    byte columns, as ast reports them), its code (the lines it spans,
+    joined) and the source text that replaces it.
     """
     found = []
     for path in sorted((root / PACKAGE).glob("*.py")):
@@ -106,7 +108,8 @@ def sites(root: Path) -> list[dict]:
                     "span": (target.lineno, target.col_offset,
                              target.end_lineno, target.end_col_offset),
                     "replacement": replacement,
-                    "code": lines[target.lineno - 1].strip(),
+                    "code": " ".join(line.strip() for line in
+                                     lines[target.lineno - 1:target.end_lineno]),
                 })
     found.sort(key=lambda site: (site["file"], site["span"], site["replacement"]))
     return found
@@ -165,8 +168,8 @@ def _select(todo: list[dict], args) -> list[dict]:
         todo = [site for site in todo if (*_key(site), site["line"]) in wanted]
         if len(todo) != len(wanted):
             raise SystemExit(f"{args.sites}: {len(wanted) - len(todo)} sites are not in the source")
-    if args.sample is not None:
-        todo = sorted(random.Random(args.seed).sample(todo, min(args.sample, len(todo))),
+    if args.sample:
+        todo = sorted(random.Random(SAMPLE_SEED).sample(todo, min(SAMPLE_SIZE, len(todo))),
                       key=lambda site: (site["file"], site["span"], site["replacement"]))
     return todo
 
@@ -180,10 +183,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="passed through to pytest (repeatable)")
     parser.add_argument("--sites", type=Path, metavar="FILE",
                         help="only the killed sites of an earlier report")
-    parser.add_argument("--sample", type=int, metavar="N", help="N sites drawn with --seed")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--sample", action="store_true",
+                        help=f"only {SAMPLE_SIZE} sites drawn with seed {SAMPLE_SEED}")
     parser.add_argument("--known", type=Path, metavar="FILE",
-                        help="exit 1 if a survivor is not in this JSON list")
+                        help="exit 1 if a survivor is not in this JSON list, "
+                             "a site listed n times covering at most n survivors")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="decnum-mutants-") as tmp:
@@ -227,8 +231,13 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args.out.write_text(text)
     if args.known is not None:
-        known = {_key(site) for site in json.loads(args.known.read_text())}
-        new = [site for site in report["survived"] if _key(site) not in known]
+        known = Counter(_key(site) for site in json.loads(args.known.read_text()))
+        new = []
+        for site in report["survived"]:
+            if known[_key(site)]:
+                known[_key(site)] -= 1
+            else:
+                new.append(site)
         for site in new:
             print(f"unexpected survivor: {site['file']}:{site['line']} {site['code']} -> "
                   f"{site['replacement']}", file=sys.stderr)

@@ -25,8 +25,8 @@ Two sections at the end are not different routes but earlier versions
 of the package's own code, kept as regression references: the graded
 constructors that collected and then sorted their entries, and the
 module constructors and stalk refusals with one helper call per check.
-Direct tests now pin the check order they guard, so they can be
-retired on kill-set evidence (ROADMAP item 12).
+They pin the check order and the messages until direct tests take that
+over and they are retired on kill-set evidence (ROADMAP item 12).
 
 Values frozen in the tests were produced by these functions.
 """
@@ -261,9 +261,6 @@ def dense_induced(st, g):
 # isomorphism: its kernel has rank 0, so it lies in that torsion, and
 # the orders leave it only 0.  None of this runs a Smith reduction.
 
-DETERMINANT_MAX = 12  # Bareiss on any square matrix up to this size
-
-
 def _nonzero_rows(m):
     columns = range(len(m[0]))
     return [list(zip(compress(columns, row), compress(row, row))) for row in m]
@@ -370,11 +367,10 @@ def cokernel_fault(m, divisors, free_rank, proj):
     (divisors, free_rank, proj) for m fails, or None when it is
     certified: the shape, P killing the columns, P onto, and the orders.
 
-    The torsion order of coker m is |det m| for square nonsingular m,
-    by Bareiss up to DETERMINANT_MAX and by leaf elimination for a forest
-    pattern at any size.  Otherwise the free rank is rows - rank m and
-    the torsion order is the gcd of the (rank m)-minors, read off a
-    triangular form.
+    The torsion order of coker m is |det m| for square nonsingular m
+    with a forest pattern, by leaf elimination at any size.  Otherwise
+    the free rank is rows - rank m and the torsion order is the gcd of
+    the (rank m)-minors, read off a triangular form.
     """
     rows, t = len(m), len(divisors)
     k = t + free_rank
@@ -390,10 +386,7 @@ def cokernel_fault(m, divisors, free_rank, proj):
             return f"column {j} maps to {image}, not 0"
     if not _onto(divisors, free_rank, proj):
         return "projection is not onto"
-    det = 0
-    if rows == len(m[0]):
-        det = (intmat.determinant(m) if rows <= DETERMINANT_MAX
-               else _tree_determinant(m, nonzero) or 0)
+    det = _tree_determinant(m, nonzero) if rows == len(m[0]) else None
     r, torsion = (rows, abs(det)) if det else _determinantal(m)
     if free_rank != rows - r:
         return f"free rank {free_rank}; rows - rank is {rows - r}"

@@ -349,18 +349,30 @@ def test_cokernel_answers_are_certified(monkeypatch):
 
 def _plant(fault, m, g, moving):
     """A correct answer for (m, g) with one fault planted: the arguments
-    of cokernel_fault, then those of induced_fault.  moving is an
-    endomorphism that does not preserve the column lattice of m."""
+    of cokernel_fault, then those of induced_fault, or None when the
+    fault does not apply to m.  moving is an endomorphism that does not
+    preserve the column lattice of m."""
     group, proj = cokernel(m)
     divisors, free, proj = list(group.divisors), group.free_rank, [list(r) for r in proj]
+    t = len(divisors)
     h = [list(row) for row in induced_endomorphism(m, g)]
     if fault == "projection row":
-        proj[0] = [(x + 1) % d for x, d in zip(proj[0], divisors)] + proj[0][len(divisors):]
+        proj[0] = [(x + 1) % d for x, d in zip(proj[0], divisors)] + proj[0][t:]
     elif fault == "divisor multiple":
         divisors[-1] *= 2
-    elif fault == "free rank":
+    elif fault == "free rank above":
         free += 1
         proj = [row + [0] for row in proj]
+    elif fault == "free rank below":
+        if not free:
+            return None
+        free -= 1
+        proj = [row[:-1] for row in proj]
+    elif fault == "torsion quotient":
+        # Z/d_t dropped: a quotient of the cokernel, so P still kills
+        # the columns and is onto, and only the order tells
+        divisors.pop()
+        proj = [row[:t - 1] + row[t:] for row in proj]
     elif fault == "induced entry":
         h[0][0] = (h[0][0] + 1) % divisors[0]
     elif fault == "non-preserving g":
@@ -368,15 +380,23 @@ def _plant(fault, m, g, moving):
     return (m, divisors, free, proj), (m, g, divisors, free, proj, h)
 
 
-@pytest.mark.parametrize("fault", ["projection row", "divisor multiple", "free rank",
-                                   "induced entry", "non-preserving g"])
-def test_certificate_rejects_a_planted_fault(fault):
-    """Each fault, planted alone into a correct answer, fails the
-    certificate it targets, which the unchanged answer passes."""
+@pytest.mark.parametrize("fault, check", [
+    ("projection row", "column"),
+    ("divisor multiple", "column"),
+    ("free rank above", "projection is not onto"),
+    ("free rank below", "free rank"),
+    ("torsion quotient", "torsion order"),
+    ("induced entry", "h P(x) and P(g x) differ"),
+    ("non-preserving g", "g moves column"),
+])
+def test_certificate_rejects_a_planted_fault(fault, check):
+    """Each fault, planted alone into a correct answer, fails the check
+    it targets, which the unchanged answer passes."""
     a2, swap = ((2, -1), (-1, 2)), ((0, 1), (1, 0))
     d4 = rootsys.cartan_matrix(rootsys.DynkinDiagram("D", 4))
     triality = rootsys._permutation_matrix((2, 1, 3, 0))
     singular = ((4, 0, 0), (0, 0, 0), (0, 0, 6))  # Z/2 x Z/12 x Z
+    planted = 0
     for m, g in ((a2, swap), (d4, triality), (singular, identity(3))):
         n = len(m)
         moving = [[int(i == j or (i, j) == (0, n - 1)) for j in range(n)] for i in range(n)]
@@ -385,11 +405,17 @@ def test_certificate_rejects_a_planted_fault(fault):
         coker, induced = _plant(None, m, g, moving)
         assert oracles.cokernel_fault(*coker) is None
         assert oracles.induced_fault(*induced) is None
-        coker, induced = _plant(fault, m, g, moving)
+        answer = _plant(fault, m, g, moving)
+        if answer is None:
+            continue
+        coker, induced = answer
+        found = oracles.cokernel_fault(*coker)
         if fault in ("induced entry", "non-preserving g"):
-            assert oracles.induced_fault(*induced) is not None, (fault, m)
-        else:
-            assert oracles.cokernel_fault(*coker) is not None, (fault, m)
+            assert found is None
+            found = oracles.induced_fault(*induced)
+        assert found is not None and found.startswith(check), (found, m)
+        planted += 1
+    assert planted
 
 
 def test_lattice_error_names_the_first_coordinate():

@@ -256,52 +256,6 @@ def test_extension_stalk_refusals():
     assert stalk_dict(unknown, ExtensionFlavor("p", "!")) == {}
 
 
-def test_refusals_name_the_first_fault_in_check_order():
-    """decomposition_number checks ell, then d-1, d and d+1 against the
-    window, then H^{d-1}, H^{d+1} and the rank at d; f_extension_stalk
-    checks the perversity, ell, then the window; extension_stalk the
-    window, then the band up to its threshold, then the p+ edge."""
-    def cone(lo, hi, **entries):
-        link = {deg: ZERO_ENTRY for deg in range(lo, hi + 1)}
-        link.update({int(k[1:]): v for k, v in entries.items()})
-        return ConeData("windowed", 6, link, completeness=(lo, hi))
-
-    unknown, torsion = LinkEntry(None), LinkEntry(0, (2,))
-    for call, want in (
-        (lambda: decomposition_number(cone(1, 3), 6), "ell must be a prime, got 6"),
-        (lambda: decomposition_number(cone(6, 8), 2),
-         "insufficient link data: degree 5 outside window"),
-        (lambda: decomposition_number(cone(2, 4), 2),
-         "insufficient link data: degree 5 outside window"),
-        (lambda: decomposition_number(cone(3, 5), 2),
-         "insufficient link data: degree 6 outside window"),
-        (lambda: decomposition_number(cone(4, 6, d5=torsion), 2),
-         "insufficient link data: degree 7 outside window"),
-        (lambda: decomposition_number(cone(5, 7, d5=unknown, d6=unknown, d7=torsion), 2),
-         "hypotheses not met: H^5 of the link must vanish"),
-        (lambda: decomposition_number(cone(5, 7, d6=unknown, d7=torsion), 2),
-         "hypotheses not met: H^7 of the link must be torsion-free"),
-        (lambda: decomposition_number(cone(5, 7, d6=unknown), 2),
-         "insufficient link data: rank unknown at degree 6"),
-        (lambda: f_extension_stalk(cone(1, 3), ExtensionFlavor("p+", "*"), 4),
-         "field-coefficient stalks are defined for perversity p only"),
-        (lambda: f_extension_stalk(cone(1, 3), ExtensionFlavor("p", "*"), 4),
-         "ell must be a prime, got 4"),
-        (lambda: f_extension_stalk(cone(1, 6), ExtensionFlavor("p", "*"), 2),
-         "insufficient link data: window does not cover the truncation threshold for p,*"),
-        (lambda: extension_stalk(cone(1, 6, d2=unknown), ExtensionFlavor("p+", "*")),
-         "insufficient link data: window does not cover the truncation threshold for p+,*"),
-        (lambda: extension_stalk(cone(2, 7, d2=unknown), ExtensionFlavor("p+", "*")),
-         "insufficient link data: rank unknown at degree 2"),
-        (lambda: extension_stalk(cone(8, 9), ExtensionFlavor("p+", "!")),
-         "insufficient link data: no entry above the threshold"),
-    ):
-        with pytest.raises(ValueError) as e:
-            call()
-        assert str(e.value) == want
-    assert extension_stalk(cone(8, 9), ExtensionFlavor("p", "!")) == GradedOModule({})
-
-
 def test_plus_edge_of_rank_only_is_not_window_checked(monkeypatch):
     """p+ adds only the torsion of the edge degree, so a rank-only edge
     outside a narrow support window leaves the stalk answerable."""
