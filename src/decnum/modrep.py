@@ -24,7 +24,7 @@ need.
 
 from __future__ import annotations
 
-from .intmat import FinAbGroup, Record, Rows, check_prime, freeze, identity, multiply
+from .intmat import FinAbGroup, Record, Rows, _built, check_prime, freeze, identity, multiply
 
 # The three symmetry groups: kind -> (generators, elements as words in
 # them with "e" the identity first, defining relations as (word, word,
@@ -87,7 +87,7 @@ def check_relations(kind: str, gens: dict, unit, compose) -> None:
 
 
 def _mod_entrywise(m: Rows, mods: tuple[int, ...]) -> Rows:
-    return tuple([tuple([e % d for e in row]) for row, d in zip(m, mods)])
+    return _built([tuple([e % d for e in row]) for row, d in zip(m, mods)])
 
 
 class _GroupAction(Record):
@@ -114,7 +114,7 @@ class _GroupAction(Record):
             fixed[label] = reduce(m) if n else ()
         self.action = fixed
         if n:
-            check_relations(self._kind, fixed, identity(n),
+            check_relations(self._kind, fixed, _built(identity(n)),
                             lambda a, b: reduce(multiply(a, b)))
 
 
@@ -161,7 +161,7 @@ class ModularRep(_GroupAction):
 
     def _reduce(self, m: Rows) -> Rows:
         ell = self.ell
-        return tuple([tuple([e % ell for e in row]) for row in m])
+        return _built([tuple([e % ell for e in row]) for row in m])
 
     def elements(self) -> dict[str, Rows]:
         """All group element matrices, keyed by word in the generators."""

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from decnum import intmat, rootsys
+from decnum import intmat, modrep, rootsys
 from decnum.intmat import (
     PRIME_BOUND,
     FinAbGroup,
@@ -141,6 +141,8 @@ def test_freeze_checks_once():
         multiply(c, c),
         rootsys._permutation_matrix((2, 0, 1)),
         rootsys.simple_reflection(c, 1),
+        modrep.EquivariantAbGroup(FinAbGroup((2, 6)), {"s": ((3, 0), (0, 7))}).action["s"],
+        modrep.ModularRep(3, 2, {"s": ((0, 4), (1, 0))}).action["s"],
     ]
     for got in built:
         assert type(got) is Matrix

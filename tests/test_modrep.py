@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from decnum import modrep
-from decnum.intmat import FinAbGroup, determinant, identity, multiply, transpose
+from decnum.intmat import FinAbGroup, Matrix, determinant, identity, multiply, transpose
 from decnum.modrep import (
     CHARACTER_DIMS,
     EquivariantAbGroup,
@@ -18,6 +18,8 @@ from decnum.modrep import (
     modp_rank,
     reduce_mod_l,
 )
+from decnum.perverse import subregular_cone
+from decnum.rootsys import DynkinDiagram
 
 import oracles
 
@@ -212,6 +214,18 @@ def test_reduce_mod_l():
     assert r.dim == 3
     r3 = reduce_mod_l(e2, 3)
     assert r3.dim == 1 and r3.action["s"] == ((2,),)
+
+
+def test_reduction_checks_each_generator_once(monkeypatch):
+    """Only the generators reduce_mod_l restricts are checked matrices;
+    their reductions, the relation unit and the relation products are
+    built unchecked."""
+    eq = subregular_cone(DynkinDiagram("G", 2)).equivariant_degrees[2]
+    checked = []
+    real = Matrix.__new__
+    monkeypatch.setattr(Matrix, "__new__", lambda cls, m: checked.append(m) or real(cls, m))
+    assert composition_multiplicities(reduce_mod_l(eq, 2)) == {"1": 0, "psi": 1}
+    assert len(checked) == 2  # s and t
 
 
 def test_irreducible_labels():
